@@ -92,4 +92,4 @@ def candidate_from_program(program: ProgramAst,
                               "program has no 'precondition' function")
     typecheck(program)
     return CandidateWp(program=program, response_text=program.source_text,
-                       comment="")
+                       comment=comment)

@@ -26,7 +26,8 @@ DEFAULT_MODEL = "gpt-4o"
 class ProviderError(Exception):
     def __init__(self, message: str, kind: str = "provider"):
         super().__init__(message)
-        self.kind = kind  # "auth" | "transport" | "exhausted" | "divergence" | "config"
+        # "auth" | "transport" | "response" | "exhausted" | "divergence" | "config"
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,24 @@ def exchange_record(exchange: ChatExchange, program_id: str,
 
 
 _RETRIABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
+
+
+def _read_completion(resp) -> tuple[str, dict]:
+    """The reply text and token usage of a 200 response. A body that is not
+    a chat completion with string content is a ProviderError, which ends
+    the run as malformed."""
+    try:
+        body = resp.json()
+        text = body["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ProviderError(f"malformed response body: {exc!r}",
+                            kind="response") from exc
+    if not isinstance(text, str):
+        raise ProviderError(
+            f"response content is {type(text).__name__}, not text",
+            kind="response")
+    usage = body.get("usage")
+    return text, usage if isinstance(usage, dict) else {}
 
 
 class HttpProvider:
@@ -125,9 +144,7 @@ class HttpProvider:
                         f"authentication rejected (HTTP {resp.status_code})",
                         kind="auth")
                 if resp.status_code == 200:
-                    body = resp.json()
-                    text = body["choices"][0]["message"]["content"]
-                    usage = body.get("usage", {})
+                    text, usage = _read_completion(resp)
                     return ChatExchange(
                         request=ChatRequest(tuple(dict(m) for m in messages),
                                             self.model, self.temperature),

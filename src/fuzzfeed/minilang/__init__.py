@@ -16,7 +16,7 @@ from .interp import (
     DIAG_DIVISION_BY_ZERO, DIAG_OUT_OF_BOUNDS, DIAG_STEP_LIMIT, DIAG_THROW,
     eval_precondition, is_success, run_foo, run_function, run_precondition,
 )
-from .parser import parse, wrap32
+from .parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse, wrap32
 
 __all__ = [
     "Assign", "Binary", "BinarySearchCall", "BoolLit", "CloneCall", "For",
@@ -30,5 +30,5 @@ __all__ = [
     "StepLimitExceeded", "Success", "SUCCESS_ZERO", "DIAG_DIVISION_BY_ZERO",
     "DIAG_OUT_OF_BOUNDS", "DIAG_STEP_LIMIT", "DIAG_THROW",
     "eval_precondition", "is_success", "run_foo", "run_function",
-    "run_precondition", "parse", "wrap32",
+    "run_precondition", "MAX_BLOCK_DEPTH", "MAX_EXPR_DEPTH", "parse", "wrap32",
 ]

@@ -1,8 +1,11 @@
 """Deterministic MiniLang interpreter.
 
-Each function body is compiled once into a tree of Python closures and cached
-on the ProgramAst; running a function is then a plain closure call, which
-keeps fuzzing throughput high. Semantics:
+Each function is translated once into the source of one flat Python
+function, compiled with compile() and cached on the ProgramAst; running a
+function is then a plain call. The generated code keeps the remaining steps
+in a local, inlines wrap-around arithmetic and bounds checks, and calls small
+helpers only for '/', '%', binarySearch, sort(...) as an expression and the
+out-of-bounds raise. Semantics:
 
   - all integer arithmetic is 32-bit two's-complement with wrap-around;
     division truncates toward zero; division/modulo by zero is a Failure
@@ -12,6 +15,12 @@ keeps fuzzing throughput high. Semantics:
     statement and per loop-condition check), so all evaluations are total
 
 Execution never mutates caller-provided inputs: arrays are copied on entry.
+
+No text of the program reaches the generated source: every variable becomes
+a numbered slot (v0, v1, ...), literals are emitted as the repr of a Python
+int or bool, and operators come from fixed tables, so a model's reply cannot
+inject Python. The parser's nesting caps (MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH)
+keep every accepted program within what compile() accepts.
 """
 from __future__ import annotations
 
@@ -57,7 +66,6 @@ ExecOutcome = Union[Success, Failure, StepLimitExceeded]
 
 SUCCESS_ZERO = Success(0)
 SUCCESS_TRUE = Success(1)
-SUCCESS_FALSE = Success(0)
 FAIL_THROW = Failure(FailureKind.EXPLICIT_THROW)
 FAIL_BOUNDS = Failure(FailureKind.INDEX_OUT_OF_BOUNDS)
 FAIL_DIV_ZERO = Failure(FailureKind.DIVISION_BY_ZERO)
@@ -67,11 +75,7 @@ def is_success(outcome: ExecOutcome) -> bool:
     return type(outcome) is Success
 
 
-# Control-flow signals inside compiled code. Only _ReturnSignal carries data.
-
-class _ReturnSignal(Exception):
-    __slots__ = ()
-
+# Signals raised by generated code; run_function maps each to an outcome.
 
 class _ThrowSignal(Exception):
     pass
@@ -89,348 +93,244 @@ class _StepsExhausted(Exception):
     pass
 
 
-# Frame layout: f[0] = remaining steps, f[1] = return value slot,
-# f[2:] = parameters then locals.
-_STEPS = 0
-_RET = 1
-_FIRST_SLOT = 2
+# Helpers the generated code calls: the operations that need a statement
+# (a raise, a loop) and so cannot be inlined into an expression.
+
+def _oob():
+    raise _BoundsSignal
 
 
-class _SlotTable:
+def _div(l, r):
+    if r == 0:
+        raise _DivZeroSignal
+    q = -(-l // r) if (l < 0) != (r < 0) else l // r
+    return INT_MIN if q == 0x80000000 else q
+
+
+def _mod(l, r):
+    if r == 0:
+        raise _DivZeroSignal
+    q = -(-l // r) if (l < 0) != (r < 0) else l // r
+    return l - q * r
+
+
+def _sort(arr):
+    arr.sort()
+    return arr
+
+
+def _bsearch(arr, v):
+    lo, hi = 0, len(arr) - 1
+    while lo <= hi:
+        mid = (lo + hi) >> 1
+        mv = arr[mid]
+        if mv < v:
+            lo = mid + 1
+        elif mv > v:
+            hi = mid - 1
+        else:
+            return mid
+    return -lo - 1
+
+
+_NAMESPACE = {
+    "_StepsExhausted": _StepsExhausted, "_ThrowSignal": _ThrowSignal,
+    "_oob": _oob, "_div": _div, "_mod": _mod, "_sort": _sort,
+    "_bsearch": _bsearch,
+}
+
+# Every operator's Python text comes from these tables, never from the AST.
+_WRAPPED = {"+": "+", "-": "-", "*": "*"}
+_HELPER_OPS = {"/": "_div", "%": "_mod"}
+_PLAIN_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==",
+              "!=": "!=", "&&": "and", "||": "or"}
+
+_STEP = ("s -= 1", "if s < 0: raise _StepsExhausted")
+
+
+class _FunctionWriter:
+    """Emits one MiniLang function as the source of a flat Python function
+    'f(v0, v1, v2, s)': parameters and locals are numbered slots v<n>,
+    bounds-check temporaries are t<n>, and s holds the remaining steps.
+
+    Every emitted expression is a primary (name, literal, call or
+    subscript) or fully parenthesized, so it can stand as an operand
+    anywhere, and one MiniLang nesting level costs at most two Python
+    parentheses."""
+
     def __init__(self):
+        self.lines = []
         self.scopes = [{}]
-        self.count = _FIRST_SLOT
+        self.slots = 0
+        self.temps = 0
 
-    def push(self):
-        self.scopes.append({})
-
-    def pop(self):
-        self.scopes.pop()
-
-    def declare(self, name: str) -> int:
-        slot = self.count
-        self.count += 1
+    def declare(self, name: str) -> str:
+        slot = f"v{self.slots}"
+        self.slots += 1
         self.scopes[-1][name] = slot
         return slot
 
-    def lookup(self, name: str) -> int:
+    def lookup(self, name: str) -> str:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
         raise KeyError(name)
 
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
 
-def _compile_expr(e, slots: _SlotTable):
-    if isinstance(e, IntLit):
-        v = e.value
-        return lambda f: v
-    if isinstance(e, BoolLit):
-        v = e.value
-        return lambda f: v
-    if isinstance(e, Var):
-        i = slots.lookup(e.name)
-        return lambda f: f[i]
-    if isinstance(e, Index):
-        i = slots.lookup(e.array)
-        idx = _compile_expr(e.index, slots)
-
-        def read(f):
-            arr = f[i]
-            j = idx(f)
-            if j < 0 or j >= len(arr):
-                raise _BoundsSignal
-            return arr[j]
-        return read
-    if isinstance(e, Len):
-        i = slots.lookup(e.array)
-        return lambda f: len(f[i])
-    if isinstance(e, Unary):
-        sub = _compile_expr(e.operand, slots)
-        if e.op == "-":
-            def neg(f):
-                v = -sub(f)
-                return INT_MIN if v == 0x80000000 else v
-            return neg
-        return lambda f: not sub(f)
-    if isinstance(e, Binary):
-        return _compile_binary(e, slots)
-    if isinstance(e, SortCall):
-        i = slots.lookup(e.array)
-
-        def sort_expr(f):
-            arr = f[i]
-            arr.sort()
-            return arr
-        return sort_expr
-    if isinstance(e, CloneCall):
-        i = slots.lookup(e.array)
-        return lambda f: list(f[i])
-    if isinstance(e, BinarySearchCall):
-        i = slots.lookup(e.array)
-        key = _compile_expr(e.key, slots)
-
-        def bsearch(f):
-            arr = f[i]
-            v = key(f)
-            lo, hi = 0, len(arr) - 1
-            while lo <= hi:
-                mid = (lo + hi) >> 1
-                mv = arr[mid]
-                if mv < v:
-                    lo = mid + 1
-                elif mv > v:
-                    hi = mid - 1
-                else:
-                    return mid
-            return -lo - 1
-        return bsearch
-    raise TypeError(f"unknown expression: {e!r}")
-
-
-def _compile_binary(e: Binary, slots: _SlotTable):
-    lf = _compile_expr(e.left, slots)
-    rf = _compile_expr(e.right, slots)
-    op = e.op
-    if op == "+":
-        def add(f):
-            v = lf(f) + rf(f)
-            if v > INT_MAX:
-                return v - 0x100000000
-            if v < INT_MIN:
-                return v + 0x100000000
-            return v
-        return add
-    if op == "-":
-        def sub(f):
-            v = lf(f) - rf(f)
-            if v > INT_MAX:
-                return v - 0x100000000
-            if v < INT_MIN:
-                return v + 0x100000000
-            return v
-        return sub
-    if op == "*":
-        def mul(f):
-            v = (lf(f) * rf(f)) & 0xFFFFFFFF
-            return v - 0x100000000 if v >= 0x80000000 else v
-        return mul
-    if op == "/":
-        def div(f):
-            l, r = lf(f), rf(f)
-            if r == 0:
-                raise _DivZeroSignal
-            q = -(-l // r) if (l < 0) != (r < 0) else l // r
-            return INT_MIN if q == 0x80000000 else q
-        return div
-    if op == "%":
-        def mod(f):
-            l, r = lf(f), rf(f)
-            if r == 0:
-                raise _DivZeroSignal
-            q = -(-l // r) if (l < 0) != (r < 0) else l // r
-            return l - q * r
-        return mod
-    if op == "<":
-        return lambda f: lf(f) < rf(f)
-    if op == "<=":
-        return lambda f: lf(f) <= rf(f)
-    if op == ">":
-        return lambda f: lf(f) > rf(f)
-    if op == ">=":
-        return lambda f: lf(f) >= rf(f)
-    if op == "==":
-        return lambda f: lf(f) == rf(f)
-    if op == "!=":
-        return lambda f: lf(f) != rf(f)
-    if op == "&&":
-        return lambda f: lf(f) and rf(f)
-    if op == "||":
-        return lambda f: lf(f) or rf(f)
-    raise TypeError(f"unknown operator: {op!r}")
-
-
-def _compile_stmt(s, slots: _SlotTable):
-    if isinstance(s, VarDecl):
-        init = _compile_expr(s.init, slots)
-        i = slots.declare(s.name)
-
-        def decl(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            f[i] = init(f)
-        return decl
-    if isinstance(s, Assign):
-        value = _compile_expr(s.value, slots)
-        i = slots.lookup(s.name)
-
-        def assign(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            f[i] = value(f)
-        return assign
-    if isinstance(s, IndexAssign):
-        i = slots.lookup(s.array)
-        idx = _compile_expr(s.index, slots)
-        value = _compile_expr(s.value, slots)
-
-        def store(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            arr = f[i]
-            j = idx(f)
-            if j < 0 or j >= len(arr):
-                raise _BoundsSignal
-            arr[j] = value(f)
-        return store
-    if isinstance(s, While):
-        cond = _compile_expr(s.cond, slots)
-        slots.push()
-        body = tuple(_compile_stmt(inner, slots) for inner in s.body)
-        slots.pop()
-
-        def loop(f):
-            while True:
-                f[_STEPS] -= 1
-                if f[_STEPS] < 0:
-                    raise _StepsExhausted
-                if not cond(f):
-                    return
-                for st in body:
-                    st(f)
-        return loop
-    if isinstance(s, For):
-        slots.push()
-        init = _compile_stmt(s.init, slots)
-        cond = _compile_expr(s.cond, slots)
-        update = _compile_stmt(s.update, slots)
-        body = tuple(_compile_stmt(inner, slots) for inner in s.body)
-        slots.pop()
-
-        def for_loop(f):
-            init(f)
-            while True:
-                f[_STEPS] -= 1
-                if f[_STEPS] < 0:
-                    raise _StepsExhausted
-                if not cond(f):
-                    return
-                for st in body:
-                    st(f)
-                update(f)
-        return for_loop
-    if isinstance(s, If):
-        cond = _compile_expr(s.cond, slots)
-        slots.push()
-        then_body = tuple(_compile_stmt(inner, slots) for inner in s.then_body)
-        slots.pop()
-        if s.else_body is None:
-            def if_only(f):
-                f[_STEPS] -= 1
-                if f[_STEPS] < 0:
-                    raise _StepsExhausted
-                if cond(f):
-                    for st in then_body:
-                        st(f)
-            return if_only
-        slots.push()
-        else_body = tuple(_compile_stmt(inner, slots) for inner in s.else_body)
-        slots.pop()
-
-        def if_else(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            if cond(f):
-                for st in then_body:
-                    st(f)
-            else:
-                for st in else_body:
-                    st(f)
-        return if_else
-    if isinstance(s, SortStmt):
-        i = slots.lookup(s.array)
-
-        def sort_stmt(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            f[i].sort()
-        return sort_stmt
-    if isinstance(s, Throw):
-        def throw(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            raise _ThrowSignal
-        return throw
-    if isinstance(s, Return):
-        value = _compile_expr(s.value, slots)
-
-        def ret(f):
-            f[_STEPS] -= 1
-            if f[_STEPS] < 0:
-                raise _StepsExhausted
-            f[_RET] = value(f)
-            raise _ReturnSignal
-        return ret
-    raise TypeError(f"unknown statement: {s!r}")
-
-
-class _CompiledFunction:
-    __slots__ = ("name", "body", "n_slots")
-
-    def __init__(self, func: FunctionDef):
-        slots = _SlotTable()
-        for p in func.params:
-            slots.declare(p.name)
-        self.name = func.name
-        self.body = tuple(_compile_stmt(s, slots) for s in func.body)
-        self.n_slots = slots.count
-
-    def call(self, a, b, c, step_limit: int) -> ExecOutcome:
-        f = [0] * self.n_slots
-        f[_STEPS] = step_limit
-        f[_FIRST_SLOT] = list(a)
-        f[_FIRST_SLOT + 1] = list(b)
-        f[_FIRST_SLOT + 2] = list(c)
-        try:
-            for st in self.body:
-                st(f)
-        except _ReturnSignal:
-            v = f[_RET]
-            if v == 0:
-                return SUCCESS_ZERO
-            if v is True:
-                return SUCCESS_TRUE
-            return Success(v)
-        except _ThrowSignal:
-            return FAIL_THROW
-        except _BoundsSignal:
-            return FAIL_BOUNDS
-        except _DivZeroSignal:
-            return FAIL_DIV_ZERO
-        except _StepsExhausted:
-            return StepLimitExceeded(step_limit)
+    def function(self, func: FunctionDef) -> str:
+        params = ", ".join(self.declare(p.name) for p in func.params)
+        self.lines.append(f"def f({params}, s):")
+        self.block(func.body, 1)
         # Unreachable after typecheck (definite-return analysis).
-        raise AssertionError(f"{self.name} fell off the end of its body")
+        self.emit(1, "raise AssertionError('fell off the end of its body')")
+        return "\n".join(self.lines) + "\n"
+
+    def emit(self, depth: int, *lines: str):
+        ind = "    " * depth
+        self.lines.extend(ind + line for line in lines)
+
+    def block(self, stmts, depth: int):
+        self.scopes.append({})
+        for s in stmts:
+            self.stmt(s, depth)
+        if not stmts:
+            self.emit(depth, "pass")
+        self.scopes.pop()
+
+    def stmt(self, s, d: int):
+        if isinstance(s, While):
+            self.emit(d, *_STEP, f"while {self.expr(s.cond)}:")
+            self.block(s.body, d + 1)
+            self.emit(d + 1, *_STEP)
+            return
+        if isinstance(s, For):
+            self.scopes.append({})
+            self.stmt(s.init, d)
+            self.emit(d, *_STEP, f"while {self.expr(s.cond)}:")
+            self.block(s.body, d + 1)
+            self.stmt(s.update, d + 1)
+            self.emit(d + 1, *_STEP)
+            self.scopes.pop()
+            return
+        self.emit(d, *_STEP)
+        if isinstance(s, VarDecl):
+            value = self.expr(s.init)
+            self.emit(d, f"{self.declare(s.name)} = {value}")
+        elif isinstance(s, Assign):
+            self.emit(d, f"{self.lookup(s.name)} = {self.expr(s.value)}")
+        elif isinstance(s, IndexAssign):
+            # Both bounds are checked before the value is evaluated.
+            arr, i = self.lookup(s.array), self.expr(s.index)
+            if not _is_atom(i):
+                t = self.temp()
+                self.emit(d, f"{t} = {i}")
+                i = t
+            self.emit(d, f"if {i} < 0 or {i} >= len({arr}): _oob()",
+                      f"{arr}[{i}] = {self.expr(s.value)}")
+        elif isinstance(s, If):
+            self.emit(d, f"if {self.expr(s.cond)}:")
+            self.block(s.then_body, d + 1)
+            if s.else_body is not None:
+                self.emit(d, "else:")
+                self.block(s.else_body, d + 1)
+        elif isinstance(s, SortStmt):
+            self.emit(d, f"{self.lookup(s.array)}.sort()")
+        elif isinstance(s, Throw):
+            self.emit(d, "raise _ThrowSignal")
+        elif isinstance(s, Return):
+            self.emit(d, f"return {self.expr(s.value)}")
+        else:
+            raise TypeError(f"unknown statement: {s!r}")
+
+    def expr(self, e) -> str:
+        if isinstance(e, IntLit):
+            v = int(e.value)
+            return repr(v) if v >= 0 else f"({v!r})"
+        if isinstance(e, BoolLit):
+            return "True" if e.value else "False"
+        if isinstance(e, Var):
+            return self.lookup(e.name)
+        if isinstance(e, Index):
+            # Reads check the lower bound here; the list's own check raises
+            # IndexError past the end, which run_function maps to the same
+            # Failure at the same point.
+            arr, i = self.lookup(e.array), self.expr(e.index)
+            if isinstance(e.index, IntLit):
+                return f"{arr}[{i}]" if e.index.value >= 0 else "_oob()"
+            if not _is_atom(i):
+                t = self.temp()
+                return f"({arr}[{t}] if ({t} := {i}) >= 0 else _oob())"
+            return f"({arr}[{i}] if {i} >= 0 else _oob())"
+        if isinstance(e, Len):
+            return f"len({self.lookup(e.array)})"
+        if isinstance(e, Unary):
+            operand = self.expr(e.operand)
+            if e.op == "-":
+                return _wrap32(f"-{operand}")
+            return f"(not {operand})"
+        if isinstance(e, Binary):
+            left, right = self.expr(e.left), self.expr(e.right)
+            if e.op in _WRAPPED:
+                return _wrap32(f"{left} {_WRAPPED[e.op]} {right}")
+            if e.op in _HELPER_OPS:
+                return f"{_HELPER_OPS[e.op]}({left}, {right})"
+            return f"({left} {_PLAIN_OPS[e.op]} {right})"
+        if isinstance(e, SortCall):
+            return f"_sort({self.lookup(e.array)})"
+        if isinstance(e, CloneCall):
+            return f"list({self.lookup(e.array)})"
+        if isinstance(e, BinarySearchCall):
+            return f"_bsearch({self.lookup(e.array)}, {self.expr(e.key)})"
+        raise TypeError(f"unknown expression: {e!r}")
 
 
-def _compiled(program: ProgramAst) -> dict:
-    cache = program._compiled
-    if cache is None:
-        cache = {name: _CompiledFunction(f) for name, f in program.functions.items()}
-        program._compiled = cache
-    return cache
+def _is_atom(code: str) -> bool:
+    """A slot name or a non-negative literal: safe to evaluate twice."""
+    return code.isalnum()
+
+
+def _wrap32(value: str) -> str:
+    """32-bit two's-complement wrap-around of an unparenthesized sum,
+    difference, product or negation of emitted expressions."""
+    return f"(({value} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
+
+
+def _function_source(func: FunctionDef) -> str:
+    return _FunctionWriter().function(func)
+
+
+def _compile_function(func: FunctionDef):
+    namespace = dict(_NAMESPACE)
+    exec(compile(_function_source(func), "<minilang>", "exec"), namespace)
+    return namespace["f"]
 
 
 def run_function(program: ProgramAst, name: str, fuzz_input,
                  step_limit: int = DEFAULT_STEP_LIMIT) -> ExecOutcome:
     """Run one function on a FuzzInput-like (a, b, c) triple."""
-    fn = _compiled(program)[name]
-    return fn.call(fuzz_input.a, fuzz_input.b, fuzz_input.c, step_limit)
+    compiled = program._compiled
+    if compiled is None:
+        compiled = program._compiled = {
+            n: _compile_function(f) for n, f in program.functions.items()}
+    try:
+        v = compiled[name](list(fuzz_input.a), list(fuzz_input.b),
+                           list(fuzz_input.c), step_limit)
+    except _ThrowSignal:
+        return FAIL_THROW
+    except (_BoundsSignal, IndexError):
+        return FAIL_BOUNDS
+    except _DivZeroSignal:
+        return FAIL_DIV_ZERO
+    except _StepsExhausted:
+        return StepLimitExceeded(step_limit)
+    if v == 0:
+        return SUCCESS_ZERO
+    if v is True:
+        return SUCCESS_TRUE
+    return Success(v)
 
 
 def run_foo(program: ProgramAst, fuzz_input,

@@ -2,7 +2,7 @@
 
 parse() is total: any input yields either a ProgramAst satisfying the
 program-level invariants (exactly one 'foo', at most one 'precondition',
-fixed signatures) or a positioned diagnostic.
+fixed signatures, nesting within the caps below) or a positioned diagnostic.
 """
 from __future__ import annotations
 
@@ -26,6 +26,22 @@ _ONE_CHAR = set("+-*/%<>!=()[]{};,")
 
 INT_MASK = 0xFFFFFFFF
 INT_SIGN = 0x80000000
+
+# Nesting caps. Deeper input is a MiniSyntaxError, so every accepted program
+# stays within what the interpreter's generated Python compiles at and what
+# the recursive front end handles under the default recursion limit.
+#
+# MAX_BLOCK_DEPTH counts while, for and if statements nested inside one
+# another. Each loop becomes one Python loop, and CPython allows at most 20
+# statically nested blocks.
+MAX_BLOCK_DEPTH = 20
+# MAX_EXPR_DEPTH bounds the height of an expression tree (each operator,
+# index and binarySearch adds a level) and how deeply its source nests
+# parentheses, brackets and call arguments. A generated expression level
+# costs at most two Python parentheses, against the tokenizer's limit of 200.
+# The printed form of a tree (to_source) never nests deeper than the tree
+# is high, so a program that parses also parses again once printed.
+MAX_EXPR_DEPTH = 64
 
 
 def wrap32(v: int) -> int:
@@ -98,10 +114,37 @@ def _lex(source: str) -> list[_Token]:
     return toks
 
 
+def _int_literal(t: _Token) -> int:
+    try:
+        return wrap32(int(t.text))
+    except ValueError:  # a non-ASCII digit, or more digits than int() reads
+        raise MiniSyntaxError("malformed or overlong integer literal",
+                              t.line, t.col) from None
+
+
+def _expr_height(e) -> int:
+    """Height of an expression tree, measured without recursion."""
+    height, stack = 0, [(e, 1)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        if isinstance(node, Binary):
+            stack += ((node.left, h + 1), (node.right, h + 1))
+        elif isinstance(node, Unary):
+            stack.append((node.operand, h + 1))
+        elif isinstance(node, Index):
+            stack.append((node.index, h + 1))
+        elif isinstance(node, BinarySearchCall):
+            stack.append((node.key, h + 1))
+    return height
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.toks = tokens
         self.i = 0
+        self.block_depth = 0
+        self.expr_depth = 0
 
     # -- token plumbing --
 
@@ -190,6 +233,17 @@ class _Parser:
             stmts.append(self.stmt())
         return tuple(stmts)
 
+    def nested_block(self, t: _Token) -> tuple[Stmt, ...]:
+        """The body of the while/for/if statement starting at token t."""
+        if self.block_depth == MAX_BLOCK_DEPTH:
+            raise MiniSyntaxError(
+                f"statements nested more than {MAX_BLOCK_DEPTH} deep",
+                t.line, t.col)
+        self.block_depth += 1
+        body = self.block()
+        self.block_depth -= 1
+        return body
+
     def stmt(self) -> Stmt:
         t = self.peek()
         if self.at("int") or self.at("bool"):
@@ -198,7 +252,7 @@ class _Parser:
             self.expect("(")
             cond = self.expr()
             self.expect(")")
-            return While(cond, self.block(), self.pos(t))
+            return While(cond, self.nested_block(t), self.pos(t))
         if self.accept("for"):
             self.expect("(")
             if self.at("int") or self.at("bool"):
@@ -210,13 +264,13 @@ class _Parser:
             self.expect(";")
             update = self.assign_core()
             self.expect(")")
-            return For(init, cond, update, self.block(), self.pos(t))
+            return For(init, cond, update, self.nested_block(t), self.pos(t))
         if self.accept("if"):
             self.expect("(")
             cond = self.expr()
             self.expect(")")
-            then_body = self.block()
-            else_body = self.block() if self.accept("else") else None
+            then_body = self.nested_block(t)
+            else_body = self.nested_block(t) if self.accept("else") else None
             return If(cond, then_body, else_body, self.pos(t))
         if self.accept("throw"):
             self.expect(";")
@@ -267,7 +321,23 @@ class _Parser:
 
     # expression precedence, loosest first
     def expr(self):
-        return self.or_expr()
+        """An expression; recursion re-enters here for every parenthesized
+        group, index and call argument, so the depth check bounds it."""
+        t = self.peek()
+        if self.expr_depth == MAX_EXPR_DEPTH:
+            raise self.too_deep(t)
+        self.expr_depth += 1
+        e = self.or_expr()
+        self.expr_depth -= 1
+        # Operator chains are built by loops, so check the finished tree.
+        if self.expr_depth == 0 and _expr_height(e) > MAX_EXPR_DEPTH:
+            raise self.too_deep(t)
+        return e
+
+    @staticmethod
+    def too_deep(t: _Token) -> MiniSyntaxError:
+        return MiniSyntaxError(
+            f"expression nested more than {MAX_EXPR_DEPTH} deep", t.line, t.col)
 
     def or_expr(self):
         e = self.and_expr()
@@ -312,24 +382,28 @@ class _Parser:
         return e
 
     def unary(self):
-        t = self.peek()
-        if self.accept("-"):
-            # Fold minus into a directly following integer token, so a
-            # negative literal is one IntLit and printing it round-trips.
-            nxt = self.peek()
-            if nxt.kind == "int":
-                self.next()
-                return IntLit(wrap32(-wrap32(int(nxt.text))), self.pos(t))
-            return Unary("-", self.unary(), self.pos(t))
-        if self.accept("!"):
-            return Unary("!", self.unary(), self.pos(t))
-        return self.primary()
+        # Prefix operators are read in a loop, not by recursion, so a long
+        # run of them is caught by the height check instead of the stack.
+        ops = []
+        while self.at("-") or self.at("!"):
+            t = self.next()
+            if t.text == "-" and self.peek().kind == "int":
+                # Fold minus into a directly following integer token, so a
+                # negative literal is one IntLit and printing it round-trips.
+                e = IntLit(wrap32(-_int_literal(self.next())), self.pos(t))
+                break
+            ops.append(t)
+        else:
+            e = self.primary()
+        for t in reversed(ops):
+            e = Unary(t.text, e, self.pos(t))
+        return e
 
     def primary(self):
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return IntLit(wrap32(int(t.text)), self.pos(t))
+            return IntLit(_int_literal(t), self.pos(t))
         if self.accept("true"):
             return BoolLit(True, self.pos(t))
         if self.accept("false"):

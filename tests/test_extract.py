@@ -103,6 +103,13 @@ def test_candidate_from_program(sorting_copy):
     candidate = candidate_from_program(ast)
     assert candidate.program is ast
     assert candidate.source == ast.source_text
+    assert candidate.comment == ""
+
+
+def test_candidate_from_program_keeps_its_comment(sorting_copy):
+    ast = with_precondition(sorting_copy.program_source, WEAKEST_WP)
+    candidate = candidate_from_program(ast, comment="// a is sorted")
+    assert candidate.comment == "// a is sorted"
 
 
 def test_candidate_from_program_requires_precondition(sorting_copy_ast):

@@ -4,6 +4,9 @@ bisect for the binarySearch contract."""
 from __future__ import annotations
 
 import ctypes
+import io
+import re
+import tokenize
 from bisect import bisect_left
 
 import pytest
@@ -16,6 +19,7 @@ from fuzzfeed.minilang import (
     MissingPrecondition, StepLimitExceeded, Success, eval_precondition,
     is_success, parse, run_foo, run_function, run_precondition,
 )
+from fuzzfeed.minilang.interp import _function_source
 
 
 def wrap(v: int) -> int:
@@ -273,3 +277,25 @@ def test_mixed_program_end_to_end(sorting_copy_ast):
     short_b = FuzzInput((1, 2), (0,), ())
     assert run_foo(sorting_copy_ast, short_b) == Failure(
         FailureKind.EXPLICIT_THROW)
+
+
+# --- generated source ---
+
+def test_program_names_never_reach_the_generated_source():
+    # Names a verbatim translation would collide with or execute.
+    program = parse(foo_src(
+        "int s = 5;\nint v0 = len(a);\nint t1 = s * 2;\nint _oob = 0;\n"
+        "int __import__ = s + v0 + t1;\n"
+        "while (_oob < 3) { _oob = _oob + 1; }\n"
+        "return __import__ + _oob;"))
+    assert run_foo(program, FuzzInput((1, 2), (), ())) == Success(20)
+    source = _function_source(program.foo)
+    names = {tok.string for tok in
+             tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.NAME}
+    generated = {n for n in names if re.fullmatch(r"[vt]\d+", n)}
+    assert names - generated <= {
+        "def", "f", "s", "if", "else", "while", "return", "raise", "pass",
+        "not", "and", "or", "True", "False", "len", "list", "AssertionError",
+        "_StepsExhausted", "_ThrowSignal", "_oob", "_div", "_mod", "_sort",
+        "_bsearch"}

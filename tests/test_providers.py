@@ -308,3 +308,37 @@ def test_http_override_env_wins(http_env, monkeypatch):
     monkeypatch.setenv(API_KEY_OVERRIDE_ENV, "sk-override")
     HttpProvider().complete(MSG)
     assert fake.calls[0]["headers"]["Authorization"] == "Bearer sk-override"
+
+
+class NonJsonResponse(FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+MALFORMED_200 = {
+    "non-json": NonJsonResponse(200),
+    "no-choices": FakeResponse(200, {"id": "cmpl-1"}),
+    "empty-choices": FakeResponse(200, {"choices": []}),
+    "null-content": FakeResponse(
+        200, {"choices": [{"message": {"role": "assistant", "content": None}}]}),
+    "not-an-object": FakeResponse(200, ["choices"]),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_200)
+def test_http_malformed_200_is_a_response_error(http_env, name):
+    fake = http_env([MALFORMED_200[name]])
+    with pytest.raises(ProviderError) as exc:
+        HttpProvider(max_retries=3).complete(MSG)
+    assert exc.value.kind == "response"
+    assert len(fake.calls) == 1
+
+
+def test_http_malformed_200_ends_the_run_malformed(http_env, sorting_copy_ast):
+    from fuzzfeed.orchestrator import FgConfig, Malformed, fg_generate
+
+    http_env([MALFORMED_200["null-content"]])
+    outcome = fg_generate(sorting_copy_ast, HttpProvider(), FgConfig(),
+                          program_id="p")
+    assert isinstance(outcome, Malformed)
+    assert "provider failure" in outcome.reason
