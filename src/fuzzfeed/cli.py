@@ -12,11 +12,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .corpus import (
-    CorpusError, ManifestMissing, load_corpus, validate_corpus,
+    FOO_STUB, CorpusError, load_corpus, program_with_precondition,
+    validate_corpus,
 )
 from .evaluation import (
     EmptyReport, LikelyEquivalent, check_equivalence, emit_report,
@@ -27,10 +27,10 @@ from .fuzzing import (
     validity_fuzz, weakness_fuzz,
 )
 from .llm import (
-    HttpProvider, ProviderError, ReplayProvider, ScriptedProvider,
-    candidate_from_program,
+    DEFAULT_BASE_URL, DEFAULT_MODEL, ProviderError, candidate_from_program,
+    parse_provider_spec,
 )
-from .minilang import MiniLangError, eval_precondition, parse, to_source, typecheck
+from .minilang import MiniLangError, parse, to_source, typecheck
 from .orchestrator import (
     Accepted, ExhaustedBudget, FgConfig, FuzzBlind, Malformed, fg_generate,
     outcome_candidate, outcome_name, write_trace, zero_shot,
@@ -41,10 +41,6 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_MALFORMED = 2
 EXIT_EXHAUSTED = 3
 EXIT_CONFIG = 4
-
-# Stub for candidate files that hold a precondition without a foo.
-_PRE_ONLY_STUB = "int foo(int[] a, int[] b, int[] c) { return 0; }\n"
-
 
 class CliError(Exception):
     """Configuration or file problem; maps to exit code 4."""
@@ -109,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("corpus", help="corpus directory")
     p_bench.add_argument("-k", type=int, default=5,
                          help="iterations per program (default: 5)")
-    p_bench.add_argument("--workers", type=int, default=1,
-                         help="parallel programs per iteration (default: 1)")
     p_bench.add_argument("--label", default=None,
                          help="configuration label in the report")
     _add_common_flags(p_bench)
@@ -155,6 +149,9 @@ def _generator(args, seed: int):
 
 
 def _fg_config(args, seed: int) -> FgConfig:
+    if args.max_validity_iters < 1 or args.max_cycles < 1:
+        raise CliError("--max-validity-iters and --max-cycles must be at "
+                       "least 1")
     return FgConfig(
         max_validity_iterations=args.max_validity_iters,
         max_cycles=args.max_cycles,
@@ -166,19 +163,9 @@ def _fg_config(args, seed: int) -> FgConfig:
 
 
 def _provider(args):
-    spec = args.provider
-    if spec == "http":
-        kwargs = {}
-        if args.model:
-            kwargs["model"] = args.model
-        if args.base_url:
-            kwargs["base_url"] = args.base_url
-        return HttpProvider(**kwargs)
-    if spec.startswith("scripted:"):
-        return ScriptedProvider.from_file(spec.split(":", 1)[1])
-    if spec.startswith("replay:"):
-        return ReplayProvider(spec.split(":", 1)[1])
-    raise CliError(f"unknown provider spec {spec!r}")
+    return parse_provider_spec(args.provider,
+                               model=args.model or DEFAULT_MODEL,
+                               base_url=args.base_url or DEFAULT_BASE_URL)
 
 
 def _load_program(path_text: str):
@@ -203,14 +190,13 @@ def _attach_precondition(program_source: str, candidate_text: str,
         pre = standalone.precondition
     except MiniLangError:
         try:
-            pre = parse(_PRE_ONLY_STUB + candidate_text).precondition
+            pre = parse(FOO_STUB + candidate_text).precondition
         except MiniLangError as exc:
             raise CliError(f"{name}: cannot parse candidate: {exc}") from exc
     if pre is None:
         raise CliError(f"{name}: no precondition function found")
-    combined = program_source.rstrip() + "\n\n" + to_source(pre)
     try:
-        ast = parse(combined)
+        ast = parse(program_with_precondition(program_source, to_source(pre)))
         typecheck(ast)
     except MiniLangError as exc:
         raise CliError(f"{name}: candidate does not typecheck against "
@@ -266,8 +252,6 @@ def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     if args.k < 1:
         raise CliError("-k must be at least 1")
-    if args.workers < 1:
-        raise CliError("--workers must be at least 1")
     try:
         benchmark_set = load_corpus(args.corpus)
     except CorpusError as exc:
@@ -282,7 +266,7 @@ def cmd_bench(args) -> int:
         label = kind if args.no_fg else f"{kind}-FG"
     try:
         report = run_benchmark(benchmark_set, provider, config, k=args.k,
-                               configuration=label, workers=args.workers)
+                               configuration=label)
     except EmptyReport as exc:
         raise CliError(str(exc)) from exc
     paths = emit_report(report, args.out)

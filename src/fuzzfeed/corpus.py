@@ -9,30 +9,33 @@ budget and an exhaustive sweep of the tiny domain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .fuzzing import (
-    Counterexample, ExhaustiveCounterexample, FuzzBudget, FuzzInput,
-    GeneratorConfig, Phase, default_config, derive_seed, exhaustive_check,
-    validity_fuzz, weakness_fuzz,
+    TINY_MAX_LEN, TINY_VALUES, Counterexample, ExhaustiveCounterexample,
+    FuzzBudget, FuzzInput, GeneratorConfig, Phase, default_config,
+    derive_seed, exhaustive_check, validity_fuzz, weakness_fuzz,
 )
 from .minilang import (
-    Binary, BinarySearchCall, BoolLit, CloneCall, DEFAULT_STEP_LIMIT, For,
-    FunctionDef, If, Index, IndexAssign, Len, MiniLangError, ProgramAst,
-    Return, SortCall, SortStmt, Throw, Unary, VarDecl, While, parse,
-    to_source, typecheck,
+    Binary, BinarySearchCall, BoolLit, DEFAULT_STEP_LIMIT, For, FunctionDef,
+    If, Index, IndexAssign, MiniLangError, ProgramAst, Return, SortCall,
+    SortStmt, Throw, Unary, VarDecl, While, parse, to_source, typecheck,
 )
 
 MANIFEST_NAME = "corpus.json"
-TINY_MAX_LEN = 2
-TINY_VALUES = (-1, 0, 1)
 
-# Stub used to parse a truth file on its own; exactly one line so reported
-# line numbers can be shifted back to the truth file.
-_TRUTH_STUB = "int foo(int[] a, int[] b, int[] c) { return 0; }\n"
+# Stub foo for parsing a precondition on its own; exactly one line so
+# reported line numbers can be shifted back to the precondition's file.
+FOO_STUB = "int foo(int[] a, int[] b, int[] c) { return 0; }\n"
+
+
+def program_with_precondition(program_source: str,
+                              precondition_source: str) -> str:
+    """Program text with precondition_source appended after foo."""
+    return program_source.rstrip() + "\n\n" + precondition_source
 
 
 class Category(str, Enum):
@@ -63,7 +66,8 @@ class BenchmarkProgram:
 
     def with_truth(self) -> ProgramAst:
         """The program with its ground-truth WP attached as precondition."""
-        return parse(self.program_source.rstrip() + "\n\n" + self.truth_source)
+        return parse(program_with_precondition(self.program_source,
+                                               self.truth_source))
 
     def truth_function(self) -> FunctionDef:
         pre = self.with_truth().precondition
@@ -157,9 +161,9 @@ def load_corpus(path: str | Path) -> BenchmarkSet:
         # Truth parses on its own against a stub foo, then against the
         # real program (catches name collisions with foo's locals: none,
         # but keeps one validated artifact).
-        _parse_checked(_TRUTH_STUB + truth_source, truth_file, line_offset=1)
-        combined = program_source.rstrip() + "\n\n" + truth_source
-        ast = _parse_checked(combined, truth_file)
+        _parse_checked(FOO_STUB + truth_source, truth_file, line_offset=1)
+        ast = _parse_checked(
+            program_with_precondition(program_source, truth_source), truth_file)
         if not ast.has_precondition():
             raise CorpusError(f"{truth_file.name}: no precondition function")
 
@@ -295,7 +299,8 @@ def drop_first_conjunct(fn: FunctionDef) -> Optional[FunctionDef]:
 def candidate_source_with(program: BenchmarkProgram,
                           precondition: FunctionDef) -> str:
     """Program text with the given function as its precondition."""
-    return program.program_source.rstrip() + "\n\n" + to_source(precondition)
+    return program_with_precondition(program.program_source,
+                                     to_source(precondition))
 
 
 # --- corpus validation ---

@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .fuzzing import (
     FuzzBudget, FuzzInput, GeneratorConfig, InputStream, derive_seed,
-    _all_arrays,
+    tiny_inputs,
 )
 from .llm import CandidateWp
 from .minilang import ProgramAst, eval_precondition, parse
@@ -89,15 +89,11 @@ def check_equivalence(candidate: CandidateWp, truth: BenchmarkProgram,
         return LikelyEquivalent(0)
 
     trials = 0
-    arrays = _all_arrays(tiny_max_len, tiny_values)
-    for a in arrays:
-        for b in arrays:
-            for c in arrays:
-                trials += 1
-                bad = _predicates_agree(truth_ast, candidate_ast,
-                                        FuzzInput(a, b, c))
-                if bad is not None:
-                    return bad
+    for inputs in tiny_inputs(tiny_max_len, tiny_values):
+        trials += 1
+        bad = _predicates_agree(truth_ast, candidate_ast, inputs)
+        if bad is not None:
+            return bad
 
     stream = InputStream(config)
     deadline = (time.monotonic() + budget.wall_clock_s
@@ -217,8 +213,7 @@ def format_avg(avg: Fraction) -> str:
 
 def run_benchmark(benchmark_set: BenchmarkSet, provider,
                   config: FgConfig | None = None, k: int = 1,
-                  configuration: str = "default",
-                  workers: int = 1) -> BenchmarkReport:
+                  configuration: str = "default") -> BenchmarkReport:
     """Repeat WP generation k times over the whole set and judge results."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -226,12 +221,7 @@ def run_benchmark(benchmark_set: BenchmarkSet, provider,
         raise EmptyReport("benchmark set is empty")
     config = config or FgConfig()
 
-    jobs = [(iteration, program)
-            for iteration in range(1, k + 1)
-            for program in benchmark_set]
-
-    def run_one(job) -> ProgramRow:
-        iteration, program = job
+    def run_one(iteration: int, program: BenchmarkProgram) -> ProgramRow:
         seed = derive_seed(config.generator.seed, "bench", iteration,
                            program.id)
         run_config = replace(config,
@@ -261,19 +251,9 @@ def run_benchmark(benchmark_set: BenchmarkSet, provider,
             llm_calls=outcome.trace.llm_calls,
             wall_time_s=time.perf_counter() - start)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Parallel across programs; iterations stay sequential so recorded
-        # providers keep their per-program response order.
-        rows = []
-        for iteration in range(1, k + 1):
-            batch = [job for job in jobs if job[0] == iteration]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows.extend(pool.map(run_one, batch))
-    else:
-        rows = [run_one(job) for job in jobs]
-
+    rows = [run_one(iteration, program)
+            for iteration in range(1, k + 1)
+            for program in benchmark_set]
     rows.sort(key=lambda r: (r.iteration, r.program_id))
     return BenchmarkReport(configuration=configuration,
                            set_name=benchmark_set.name, k=k,

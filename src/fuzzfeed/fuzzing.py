@@ -10,6 +10,7 @@ a phase with a trial-only budget is exactly reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -414,6 +415,13 @@ def _all_arrays(max_len: int, values: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def tiny_inputs(max_len: int, values: tuple[int, ...]) -> Iterator[FuzzInput]:
+    """Every input with array lengths <= max_len over the value set, with
+    a varying slowest and c fastest."""
+    arrays = _all_arrays(max_len, values)
+    return itertools.starmap(FuzzInput, itertools.product(arrays, repeat=3))
+
+
 def exhaustive_check(program: ProgramAst, max_len: int, values: tuple[int, ...],
                      phase: Phase,
                      step_limit: int = DEFAULT_STEP_LIMIT) -> ExhaustiveVerdict:
@@ -424,13 +432,9 @@ def exhaustive_check(program: ProgramAst, max_len: int, values: tuple[int, ...],
     if total > EXHAUSTIVE_GUARD:
         raise DomainTooLarge(f"{total} inputs exceeds the {EXHAUSTIVE_GUARD} bound")
     holds = _phase_predicate(program, phase, step_limit)
-    arrays = _all_arrays(max_len, values)
     checked = 0
-    for a in arrays:
-        for b in arrays:
-            for c in arrays:
-                inp = FuzzInput(a, b, c)
-                checked += 1
-                if holds(inp):
-                    return ExhaustiveCounterexample(inp)
+    for inp in tiny_inputs(max_len, values):
+        checked += 1
+        if holds(inp):
+            return ExhaustiveCounterexample(inp)
     return NoCounterexample(checked)

@@ -279,13 +279,13 @@ class RecordingProvider:
 
 
 def parse_provider_spec(spec: str, model: str = DEFAULT_MODEL,
-                        base_url: str = DEFAULT_BASE_URL,
-                        temperature: float = 0.0):
-    """CLI provider syntax: 'http', 'replay:<path>', or 'scripted:<path>'."""
+                        base_url: str = DEFAULT_BASE_URL):
+    """CLI provider syntax: 'http', 'replay:<path>' (strict), or
+    'scripted:<path>'."""
     if spec == "http":
-        return HttpProvider(model=model, base_url=base_url, temperature=temperature)
+        return HttpProvider(model=model, base_url=base_url)
     if spec.startswith("replay:"):
-        return ReplayProvider(spec.split(":", 1)[1], strict=False)
+        return ReplayProvider(spec.split(":", 1)[1])
     if spec.startswith("scripted:"):
         return ScriptedProvider.from_file(spec.split(":", 1)[1])
     raise ProviderError(f"unknown provider spec {spec!r} "

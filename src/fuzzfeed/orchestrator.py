@@ -13,7 +13,9 @@ the same seeds is sufficient to replay the run.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -42,6 +44,13 @@ class FgConfig:
     strict_fuzz_blind: bool = False
     shrink: bool = True
     step_limit: int = DEFAULT_STEP_LIMIT
+
+    def __post_init__(self):
+        # A cap below 1 runs no fuzz phase, so the run could only end with
+        # an unfuzzed candidate and a trace validate_trace rejects.
+        if self.max_validity_iterations < 1 or self.max_cycles < 1:
+            raise ValueError("max_validity_iterations and max_cycles must be "
+                             "at least 1")
 
 
 # --- trace events ---
@@ -149,6 +158,9 @@ class Accepted:
 
 @dataclass
 class ExhaustedBudget:
+    """Iterations or cycles ran out. best_candidate is the last candidate
+    that passed validity, else the last candidate."""
+
     best_candidate: Optional[CandidateWp]
     trace: FgTrace
 
@@ -207,8 +219,14 @@ class _Session:
 
     def _complete(self, prompt: str, kind: PromptKind) -> ChatExchange:
         messages = user_message(prompt)
-        exchange = self.provider.complete(
-            messages, program_id=self.trace.program_id, prompt_kind=kind.value)
+        try:
+            exchange = self.provider.complete(
+                messages, program_id=self.trace.program_id,
+                prompt_kind=kind.value)
+        except ProviderError as exc:
+            if exc.kind == "config":
+                raise  # setup problem, not a run outcome
+            raise _MalformedRun(f"provider failure: {exc}") from exc
         self.trace.llm_calls += 1
         self.trace.exchanges.append(
             exchange_record(exchange, self.trace.program_id, kind.value))
@@ -223,12 +241,7 @@ class _Session:
 
         prompt = render_prompt(kind, source, witness)
         self.trace.add(PromptSent(kind, cycle, prompt_hash(user_message(prompt))))
-        try:
-            exchange = self._complete(prompt, kind)
-        except ProviderError as exc:
-            if exc.kind == "config":
-                raise  # setup problem, not a run outcome
-            raise _MalformedRun(f"provider failure: {exc}") from exc
+        exchange = self._complete(prompt, kind)
         try:
             candidate = extract_candidate(exchange.response_text, self.program)
         except ExtractionError as first:
@@ -236,12 +249,7 @@ class _Session:
             self.trace.add(PromptSent(kind, cycle,
                                       prompt_hash(user_message(retry_prompt)),
                                       retry=True))
-            try:
-                exchange = self._complete(retry_prompt, kind)
-            except ProviderError as exc:
-                if exc.kind == "config":
-                    raise
-                raise _MalformedRun(f"provider failure: {exc}") from exc
+            exchange = self._complete(retry_prompt, kind)
             try:
                 candidate = extract_candidate(exchange.response_text, self.program)
             except ExtractionError as second:
@@ -316,7 +324,8 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
                                     do_shrink=config.shrink,
                                     step_limit=config.step_limit)
             vacuous = is_vacuous_validity(verdict)
-            trace.add(_validity_event(cycle, iteration, verdict, seed, vacuous))
+            trace.add(ValidityVerdict(cycle, iteration, vacuous=vacuous,
+                                      **_verdict_fields(verdict, seed)))
             if isinstance(verdict, LikelyPass):
                 if vacuous and config.strict_fuzz_blind:
                     return finish(FuzzBlind(candidate, trace))
@@ -342,7 +351,7 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
                                 config.generator.with_seed(seed),
                                 do_shrink=config.shrink,
                                 step_limit=config.step_limit)
-        trace.add(_weakness_event(cycle, verdict, seed))
+        trace.add(WeaknessVerdict(cycle, **_verdict_fields(verdict, seed)))
         if isinstance(verdict, LikelyPass):
             return finish(Accepted(candidate, trace))
         if cycle == config.max_cycles:
@@ -359,27 +368,14 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
     return finish(ExhaustedBudget(best or candidate, trace))
 
 
-def _validity_event(cycle, iteration, verdict: FuzzVerdict, seed, vacuous):
-    return ValidityVerdict(
-        cycle=cycle, iteration=iteration,
-        verdict="counterexample" if isinstance(verdict, Counterexample)
-        else "likely-pass",
-        trials=verdict.trials, satisfied=verdict.stats.satisfied,
-        step_limited=verdict.stats.step_limited,
-        precond_faults=verdict.stats.precond_faults, seed=seed,
-        vacuous=vacuous,
-        witness=verdict.witness if isinstance(verdict, Counterexample) else None)
-
-
-def _weakness_event(cycle, verdict: FuzzVerdict, seed):
-    return WeaknessVerdict(
-        cycle=cycle,
-        verdict="counterexample" if isinstance(verdict, Counterexample)
-        else "likely-pass",
-        trials=verdict.trials, satisfied=verdict.stats.satisfied,
-        step_limited=verdict.stats.step_limited,
-        precond_faults=verdict.stats.precond_faults, seed=seed,
-        witness=verdict.witness if isinstance(verdict, Counterexample) else None)
+def _verdict_fields(verdict: FuzzVerdict, seed: int) -> dict:
+    """The fields validity and weakness verdict events share."""
+    failed = isinstance(verdict, Counterexample)
+    return dict(verdict="counterexample" if failed else "likely-pass",
+                trials=verdict.trials, satisfied=verdict.stats.satisfied,
+                step_limited=verdict.stats.step_limited,
+                precond_faults=verdict.stats.precond_faults, seed=seed,
+                witness=verdict.witness if failed else None)
 
 
 # --- trace (de)serialization ---
@@ -465,9 +461,61 @@ def read_trace_events(path: str | Path) -> list[TraceEvent]:
 
 # --- trace legality ---
 
-_TAKE_CANDIDATE = "candidate"
-_TAKE_MALFORMED = "malformed"
-_TAKE_ERROR = "error"
+# One character per event: the prompt kind (lower case for a format-reminder
+# retry), c a candidate, p/q/x a validity pass, vacuous pass and
+# counterexample, P/X a weakness pass and counterexample, R/S a validity and a
+# weakness repair, C a completed cycle, A/E/M/B the terminal outcomes.
+_TOKENS = {
+    (PromptSent, PromptKind.INITIAL_WP): "I",
+    (PromptSent, PromptKind.REPAIR_VALIDITY): "V",
+    (PromptSent, PromptKind.REPAIR_WEAKNESS): "W",
+    (ValidityVerdict, "likely-pass"): "p",
+    (ValidityVerdict, "counterexample"): "x",
+    (WeaknessVerdict, "likely-pass"): "P",
+    (WeaknessVerdict, "counterexample"): "X",
+    (RepairTriggered, PromptKind.REPAIR_VALIDITY): "R",
+    (RepairTriggered, PromptKind.REPAIR_WEAKNESS): "S",
+    (TerminalOutcome, "accepted"): "A",
+    (TerminalOutcome, "exhausted-budget"): "E",
+    (TerminalOutcome, "malformed"): "M",
+    (TerminalOutcome, "fuzz-blind"): "B",
+}
+
+
+def _event_token(event: TraceEvent) -> str:
+    """The event's character; "?" for anything the loop never emits."""
+    kind = type(event)
+    if kind is PromptSent or kind is RepairTriggered:
+        token = _TOKENS.get((kind, event.kind), "?")
+        return token.lower() if kind is PromptSent and event.retry else token
+    if kind is ValidityVerdict or kind is WeaknessVerdict:
+        token = _TOKENS.get((kind, event.verdict), "?")
+        return "q" if token == "p" and event.vacuous else token
+    if kind is TerminalOutcome:
+        return _TOKENS.get((kind, event.outcome), "?")
+    if kind is CandidateReceived:
+        return "c"
+    return "C" if kind is CycleCompleted else "?"
+
+
+@lru_cache(maxsize=None)
+def _trace_language(max_validity_iterations: int,
+                    max_cycles: int) -> re.Pattern:
+    """The event strings the guidance loop can emit under these caps.
+
+    Every prompt may have one retry and ends the run malformed when no
+    candidate follows. A cycle repairs at most max_validity_iterations - 1
+    validity counterexamples, and at most max_cycles - 1 cycles complete.
+    """
+    if max_validity_iterations < 1 or max_cycles < 1:
+        return re.compile("[Ii]i?c?M|[Ii]i?cA")
+    repairs = f"{{0,{max_validity_iterations - 1}}}"
+    completed = f"(?:xR[Vv]v?c){repairs}[pq]XS[Ww]w?cC"
+    # A validity repair that ends malformed still counts against the cap.
+    last = (f"(?:xR[Vv]v?(?:c|(?=M))){repairs}"
+            "(?:M|x[EM]|qB|[pq](?:[EM]|P[AEM]|X[EM]|XS[Ww]w?c?M))|(?<=C)E")
+    return re.compile(f"[Ii]i?(?:M|cA|c(?:{completed}){{0,{max_cycles - 1}}}"
+                      f"(?:{last}))")
 
 
 def validate_trace(events: list[TraceEvent],
@@ -480,170 +528,27 @@ def validate_trace(events: list[TraceEvent],
     allows, and non-terminal events after the terminal outcome. Returns a
     list of problems; empty means legal.
     """
-    problems = _walk_trace(events, max_validity_iterations, max_cycles)
-    if not problems:
-        _terminal_context_checks(events, problems)
-    return problems
-
-
-def _terminal_context_checks(events: list[TraceEvent],
-                             problems: list[str]) -> None:
-    if not events or not isinstance(events[-1], TerminalOutcome):
-        return
-    terminal = events[-1]
-    prev = events[-2] if len(events) >= 2 else None
-    fuzzed = any(isinstance(e, (ValidityVerdict, WeaknessVerdict))
-                 for e in events)
-    if terminal.outcome == "accepted" and fuzzed:
-        if not (isinstance(prev, WeaknessVerdict)
-                and prev.verdict == "likely-pass"):
-            problems.append("accepted outcome without a passing weakness "
-                            "phase directly before it")
-    if terminal.outcome == "fuzz-blind":
-        if not (isinstance(prev, ValidityVerdict)
-                and prev.verdict == "likely-pass" and prev.vacuous):
-            problems.append("fuzz-blind outcome without a vacuous validity "
-                            "pass directly before it")
-
-
-def _walk_trace(events: list[TraceEvent],
-                max_validity_iterations: int,
-                max_cycles: int) -> list[str]:
-    problems: list[str] = []
-    i = 0
-    n = len(events)
-
-    def bad(msg: str) -> None:
-        problems.append(msg)
-
-    def at_terminal() -> bool:
-        return i < n and isinstance(events[i], TerminalOutcome)
-
-    def check_terminal_last() -> None:
-        if i != n - 1:
-            bad(f"event {i}: terminal outcome is not the last event")
-
-    def take_prompt_and_candidate(expected_kind: PromptKind) -> str:
-        """Consume PromptSent [retry PromptSent] CandidateReceived.
-
-        Leaves i at the TerminalOutcome when the run ended malformed here.
-        """
-        nonlocal i
-        if i >= n or not isinstance(events[i], PromptSent):
-            bad(f"event {i}: expected a {expected_kind.value} prompt")
-            return _TAKE_ERROR
-        if events[i].kind is not expected_kind:
-            bad(f"event {i}: expected {expected_kind.value} prompt, "
-                f"got {events[i].kind.value}")
-            return _TAKE_ERROR
-        i += 1
-        if i < n and isinstance(events[i], PromptSent):
-            if events[i].kind is not expected_kind or not events[i].retry:
-                bad(f"event {i}: only a single format-reminder retry of the "
-                    f"same prompt kind may follow")
-                return _TAKE_ERROR
-            i += 1
-        if at_terminal():
-            if events[i].outcome != "malformed":
-                bad(f"event {i}: a prompt without a candidate must end the "
-                    f"run as malformed")
-                return _TAKE_ERROR
-            check_terminal_last()
-            return _TAKE_MALFORMED
-        if i >= n or not isinstance(events[i], CandidateReceived):
-            bad(f"event {i}: expected a candidate after the prompt")
-            return _TAKE_ERROR
-        i += 1
-        return _TAKE_CANDIDATE
-
-    status = take_prompt_and_candidate(PromptKind.INITIAL_WP)
-    if status is not _TAKE_CANDIDATE:
-        return problems
-    if at_terminal():
-        # Legal only for a run without fuzzing (single prompt, accepted).
-        if events[i].outcome not in ("accepted", "malformed"):
-            bad(f"event {i}: terminal {events[i].outcome} cannot directly "
-                f"follow the initial candidate")
-        check_terminal_last()
-        return problems
-
-    cycle = 0
-    while i < n:
-        cycle += 1
-        if cycle > max_cycles:
-            bad(f"event {i}: more than {max_cycles} cycles")
-            return problems
-        validity_attempts = 0
-        validity_repairs = 0
-        passed = False
-        while i < n and isinstance(events[i], ValidityVerdict):
-            validity_attempts += 1
-            if validity_attempts > max_validity_iterations:
-                bad(f"event {i}: more than {max_validity_iterations} "
-                    f"validity attempts in cycle {cycle}")
-                return problems
-            verdict = events[i]
-            i += 1
-            if verdict.verdict == "likely-pass":
-                passed = True
-                break
-            # Counterexample: either a repair follows, or the run ends.
-            if i < n and isinstance(events[i], RepairTriggered) \
-                    and events[i].kind is PromptKind.REPAIR_VALIDITY:
-                validity_repairs += 1
-                if validity_repairs >= max_validity_iterations:
-                    bad(f"event {i}: validity repair after the final "
-                        f"attempt in cycle {cycle}")
-                    return problems
-                i += 1
-                status = take_prompt_and_candidate(PromptKind.REPAIR_VALIDITY)
-                if status is not _TAKE_CANDIDATE:
-                    return problems
-                if at_terminal():
-                    if events[i].outcome != "malformed":
-                        bad(f"event {i}: a repair candidate must be fuzzed "
-                            f"before the run can end {events[i].outcome}")
-                    check_terminal_last()
-                    return problems
-                continue
-            break
-        if i < n and isinstance(events[i], WeaknessVerdict):
-            if not passed:
-                bad(f"event {i}: weakness phase before a validity pass in "
-                    f"cycle {cycle}")
-                return problems
-            weakness = events[i]
-            i += 1
-            if weakness.verdict == "counterexample" and i < n \
-                    and isinstance(events[i], RepairTriggered):
-                if events[i].kind is not PromptKind.REPAIR_WEAKNESS:
-                    bad(f"event {i}: repair after a weakness counterexample "
-                        f"must be a weakness repair")
-                    return problems
-                i += 1
-                status = take_prompt_and_candidate(PromptKind.REPAIR_WEAKNESS)
-                if status is not _TAKE_CANDIDATE:
-                    return problems
-                if at_terminal():
-                    if events[i].outcome != "malformed":
-                        bad(f"event {i}: a repair candidate must be fuzzed "
-                            f"before the run can end {events[i].outcome}")
-                    check_terminal_last()
-                    return problems
-                if i < n and isinstance(events[i], CycleCompleted):
-                    i += 1
-                    continue
-                bad(f"event {i}: expected cycle-completed after a weakness "
-                    f"repair")
-                return problems
-        if at_terminal():
-            check_terminal_last()
-            return problems
-        if i < n:
-            bad(f"event {i}: unexpected {type(events[i]).__name__}")
-            return problems
-    bad("trace does not end with a terminal outcome")
-    return problems
+    tokens = "".join(map(_event_token, events))
+    if _trace_language(max_validity_iterations, max_cycles).fullmatch(tokens):
+        return []
+    repairs = max(max_validity_iterations - 1, 0)
+    # Most specific first; a match ends at the offending event.
+    for pattern, problem in (
+            (r"[AEMB](?=.)", "terminal outcome is not the last event"),
+            (r"(?<![pq])[PX]", "weakness phase without a validity pass"),
+            (f"R(?:[^C]*R){{{repairs}}}",
+             "validity repair after the final attempt of a cycle"),
+            (f"C(?:[^C]*C){{{max(max_cycles - 1, 0)}}}.",
+             f"more than {max_cycles} cycles"),
+            ("XR", "a weakness counterexample needs a weakness repair"),
+            ("[VvWw]c[AEB]", "a repair candidate must be fuzzed first"),
+            (r"[pqxPX].*(?<!P)A", "accepted without a weakness pass"),
+            (r"(?<!q)B", "fuzz-blind without a vacuous validity pass"),
+            ("[^AEMB]$", "trace does not end with a terminal outcome")):
+        found = re.search(pattern, tokens)
+        if found:
+            return [f"event {found.end() - 1}: {problem}"]
+    return [f"events {tokens!r} are not a run the guidance loop can emit"]
 
 
 # --- replay ---

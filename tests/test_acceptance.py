@@ -127,7 +127,7 @@ def bench_runs(workdir):
         out_dir = workdir / f"bench_{label}"
         code = cli_main(["bench", str(CORPUS_DIR), "-k", "5",
                          "--provider", f"replay:{BENCH_TRANSCRIPT}",
-                         "--seed", "7", "--workers", "1",
+                         "--seed", "7",
                          "--fuzz-seconds", "0", "--fuzz-trials", "4000",
                          "--out", str(out_dir)])
         runs.append({"exit": code,

@@ -171,6 +171,23 @@ def test_both_budgets_zero_exit_four(tmp_path, program_file, sorting_copy,
     assert "--fuzz-seconds/--fuzz-trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-cycles", "--max-validity-iters"])
+def test_caps_below_one_exit_four(tmp_path, program_file, sorting_copy, flag,
+                                  capsys):
+    # A zero cap used to skip fuzzing and save the unfuzzed first candidate.
+    script = write_responses(
+        tmp_path / "one.jsonl",
+        scripted_responses(sorting_copy.program_source, WEAKEST_WP))
+    out_dir = tmp_path / "out"
+    code = main(["generate", str(program_file),
+                 "--provider", f"scripted:{script}", "--seed", "1",
+                 "--fuzz-seconds", "0", "--fuzz-trials", "100", flag, "0",
+                 "--out", str(out_dir)])
+    assert code == 4
+    assert flag in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_argparse_errors_use_exit_four(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate"])  # missing required positional

@@ -305,12 +305,3 @@ def test_run_benchmark_k_iterations_reseed(builtin_set, sorting_copy):
     assert all(row.correct for row in report.rows)
     assert report.k == 3
     assert report.summaries()[0].n_programs == 1
-
-
-def test_run_benchmark_workers_preserve_order(builtin_set):
-    mini = two_program_set(builtin_set)
-    sequential = run_benchmark(mini, perfect_provider(mini, k=2),
-                               bench_config(), k=2)
-    threaded = run_benchmark(mini, perfect_provider(mini, k=2),
-                             bench_config(), k=2, workers=2)
-    assert threaded == sequential

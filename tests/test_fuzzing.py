@@ -13,7 +13,7 @@ from fuzzfeed.fuzzing import (
     NoCounterexample, Phase, VACUOUS_MIN_TRIALS, _all_arrays, default_config,
     derive_seed, draw_input, exhaustive_check, is_vacuous_validity,
     paper_faithful_config, replay_witness, shrink, tiny_domain_config,
-    validity_fuzz, weakness_fuzz,
+    tiny_inputs, validity_fuzz, weakness_fuzz,
 )
 from fuzzfeed.minilang import INT_MAX, INT_MIN, parse
 
@@ -280,6 +280,13 @@ def test_all_arrays_count():
     arrays = _all_arrays(2, (-1, 0, 1))
     assert len(arrays) == 1 + 3 + 9
     assert len(set(arrays)) == 13
+
+
+def test_tiny_inputs_vary_a_slowest():
+    assert [inp.to_json() for inp in tiny_inputs(1, (0,))][:3] == [
+        '{"a":[],"b":[],"c":[]}', '{"a":[],"b":[],"c":[0]}',
+        '{"a":[],"b":[0],"c":[]}']
+    assert len(list(tiny_inputs(2, (-1, 0, 1)))) == 13 ** 3
 
 
 def test_exhaustive_counts_entire_domain():

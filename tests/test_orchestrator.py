@@ -39,6 +39,14 @@ def worked_example_provider(sorting_copy):
         LENGTH_ONLY_WP, STRONG_WP, REGRESSED_WP, WEAKEST_WP))
 
 
+@pytest.mark.parametrize("caps", [{"max_cycles": 0},
+                                  {"max_validity_iterations": 0},
+                                  {"max_cycles": -1}])
+def test_config_rejects_caps_below_one(caps):
+    with pytest.raises(ValueError):
+        FgConfig(**caps)
+
+
 # --- the worked example ---
 
 def test_guided_run_accepts_after_two_cycles(sorting_copy_ast,

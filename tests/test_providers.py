@@ -185,7 +185,8 @@ def test_parse_provider_spec(tmp_path):
     path = tmp_path / "t.jsonl"
     write_transcript(path, [recorded_entry("q", "a")])
     assert isinstance(parse_provider_spec("http"), HttpProvider)
-    assert isinstance(parse_provider_spec(f"replay:{path}"), ReplayProvider)
+    replay = parse_provider_spec(f"replay:{path}")
+    assert isinstance(replay, ReplayProvider) and replay.strict
     assert isinstance(parse_provider_spec(f"scripted:{path}"),
                       ScriptedProvider)
     with pytest.raises(ProviderError):
