@@ -16,6 +16,19 @@ out-of-bounds raise. Semantics:
 
 Execution never mutates caller-provided inputs: arrays are copied on entry.
 
+A run has two tiers. It first gets at most _PROBE steps; nearly every
+evaluation finishes within them. A run that exhausts them under a larger
+step limit starts again from fresh copies of its input in a variant of the
+same function that, at every loop back-edge, compares the slots in scope at
+the loop head with a snapshot of them (see _FunctionWriter). A match ends
+the run with StepLimitExceeded(step_limit) at once: execution is
+deterministic and a function calls no other function, so the same loop head
+with the same state repeats the same iterations for ever, and the path
+from the state back to itself neither faults nor returns. A stalled loop
+thus costs about _PROBE steps instead of the whole step limit; a loop that
+keeps changing its state still runs to the limit, with the same outcome and
+step accounting as before.
+
 No text of the program reaches the generated source: every variable becomes
 a numbered slot (v0, v1, ...), literals are emitted as the repr of a Python
 int or bool, and operators come from fixed tables, so a model's reply cannot
@@ -31,7 +44,7 @@ from typing import Union
 from .astdefs import (
     Assign, Binary, BinarySearchCall, BoolLit, CloneCall, For, FunctionDef,
     If, Index, IndexAssign, IntLit, Len, ProgramAst, Return, SortCall,
-    SortStmt, Throw, Unary, Var, VarDecl, While, FOO, PRECONDITION,
+    SortStmt, Throw, Ty, Unary, Var, VarDecl, While, FOO, PRECONDITION,
 )
 from .errors import MissingPrecondition
 
@@ -93,6 +106,11 @@ class _StepsExhausted(Exception):
     pass
 
 
+class _CycleSignal(_StepsExhausted):
+    """A loop head saw the same state twice: the run can only end by
+    running out of steps."""
+
+
 # Helpers the generated code calls: the operations that need a statement
 # (a raise, a loop) and so cannot be inlined into an expression.
 
@@ -134,7 +152,8 @@ def _bsearch(arr, v):
 
 
 _NAMESPACE = {
-    "_StepsExhausted": _StepsExhausted, "_ThrowSignal": _ThrowSignal,
+    "_StepsExhausted": _StepsExhausted, "_CycleSignal": _CycleSignal,
+    "_ThrowSignal": _ThrowSignal,
     "_oob": _oob, "_div": _div, "_mod": _mod, "_sort": _sort,
     "_bsearch": _bsearch,
 }
@@ -147,6 +166,10 @@ _PLAIN_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==",
 
 _STEP = ("s -= 1", "if s < 0: raise _StepsExhausted")
 
+# Steps a run gets before a run that exhausts them is repeated with loop
+# cycle detection.
+_PROBE = 10_000
+
 
 class _FunctionWriter:
     """Emits one MiniLang function as the source of a flat Python function
@@ -156,18 +179,33 @@ class _FunctionWriter:
     Every emitted expression is a primary (name, literal, call or
     subscript) or fully parenthesized, so it can stand as an operand
     anywhere, and one MiniLang nesting level costs at most two Python
-    parentheses."""
+    parentheses.
 
-    def __init__(self):
+    With cycle_check, every loop back-edge also compares the slots in scope
+    at the loop head with a snapshot and raises _CycleSignal on a match.
+    The snapshot is retaken at the first back-edge after the loop is
+    entered and then whenever more steps than the current gap have passed
+    since the last one, the gap doubling each time (Brent's scheme), so a
+    cycle of any length is met once the gap exceeds it. The snapshot of loop
+    <L> lives in the locals n<L> (the value of s below which the next
+    snapshot is taken), p<L> (the gap), k<L>_<slot> (a value, or a copy of
+    an array's contents) and o<L>_<slot> (the array object itself)."""
+
+    def __init__(self, cycle_check: bool = False):
         self.lines = []
         self.scopes = [{}]
         self.slots = 0
         self.temps = 0
+        self.arrays = set()
+        self.cycle_check = cycle_check
+        self.loops = 0
 
-    def declare(self, name: str) -> str:
+    def declare(self, name: str, ty: Ty) -> str:
         slot = f"v{self.slots}"
         self.slots += 1
         self.scopes[-1][name] = slot
+        if ty == Ty.INT_ARRAY:
+            self.arrays.add(slot)
         return slot
 
     def lookup(self, name: str) -> str:
@@ -181,7 +219,7 @@ class _FunctionWriter:
         return f"t{self.temps}"
 
     def function(self, func: FunctionDef) -> str:
-        params = ", ".join(self.declare(p.name) for p in func.params)
+        params = ", ".join(self.declare(p.name, p.ty) for p in func.params)
         self.lines.append(f"def f({params}, s):")
         self.block(func.body, 1)
         # Unreachable after typecheck (definite-return analysis).
@@ -200,25 +238,57 @@ class _FunctionWriter:
             self.emit(depth, "pass")
         self.scopes.pop()
 
+    def loop(self, cond, body, update, d: int):
+        """A while loop; a for loop's update runs at the end of the body."""
+        reset, check = self.back_edge_check() if self.cycle_check else ((), ())
+        self.emit(d, *reset, *_STEP, f"while {self.expr(cond)}:")
+        self.block(body, d + 1)
+        if update is not None:
+            self.stmt(update, d + 1)
+        self.emit(d + 1, *check, *_STEP)
+
+    def back_edge_check(self) -> tuple[list, list]:
+        """The snapshot reset before a loop and the check at its back-edge.
+        The compared state is every slot in scope at the loop head; slots
+        the body declares are assigned again before any read in the next
+        iteration, and temporaries before any read at all."""
+        self.loops += 1
+        n, p = f"n{self.loops}", f"p{self.loops}"
+        live = [slot for scope in self.scopes for slot in scope.values()]
+        save, same = [], []
+        # Scalars first, the most recently declared (loop indices) first.
+        for v in reversed(live):
+            if v not in self.arrays:
+                k = f"k{self.loops}_{v}"
+                save.append(f"    {k} = {v}")
+                same.append(f"{v} == {k}")
+        # An array matches only if it is the same object with the same
+        # contents: equal contents alone miss a change of aliasing.
+        for v in live:
+            if v in self.arrays:
+                o, k = f"o{self.loops}_{v}", f"k{self.loops}_{v}"
+                save += [f"    {o} = {v}", f"    {k} = list({v})"]
+                same += [f"{v} is {o}", f"{v} == {k}"]
+        reset = [f"{n} = s", f"{p} = 1"]
+        # The parser fixes the parameters a, b and c, so same is never empty.
+        check = [f"if s < {n}:", f"    {p} += {p}", f"    {n} = s - {p}",
+                 *save, f"elif {' and '.join(same)}:", "    raise _CycleSignal"]
+        return reset, check
+
     def stmt(self, s, d: int):
         if isinstance(s, While):
-            self.emit(d, *_STEP, f"while {self.expr(s.cond)}:")
-            self.block(s.body, d + 1)
-            self.emit(d + 1, *_STEP)
+            self.loop(s.cond, s.body, None, d)
             return
         if isinstance(s, For):
             self.scopes.append({})
             self.stmt(s.init, d)
-            self.emit(d, *_STEP, f"while {self.expr(s.cond)}:")
-            self.block(s.body, d + 1)
-            self.stmt(s.update, d + 1)
-            self.emit(d + 1, *_STEP)
+            self.loop(s.cond, s.body, s.update, d)
             self.scopes.pop()
             return
         self.emit(d, *_STEP)
         if isinstance(s, VarDecl):
             value = self.expr(s.init)
-            self.emit(d, f"{self.declare(s.name)} = {value}")
+            self.emit(d, f"{self.declare(s.name, s.ty)} = {value}")
         elif isinstance(s, Assign):
             self.emit(d, f"{self.lookup(s.name)} = {self.expr(s.value)}")
         elif isinstance(s, IndexAssign):
@@ -298,26 +368,43 @@ def _wrap32(value: str) -> str:
     return f"(({value} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
 
 
-def _function_source(func: FunctionDef) -> str:
-    return _FunctionWriter().function(func)
+def _function_source(func: FunctionDef, cycle_check: bool = False) -> str:
+    return _FunctionWriter(cycle_check).function(func)
 
 
-def _compile_function(func: FunctionDef):
+def _compile_function(func: FunctionDef, cycle_check: bool = False):
     namespace = dict(_NAMESPACE)
-    exec(compile(_function_source(func), "<minilang>", "exec"), namespace)
+    exec(compile(_function_source(func, cycle_check), "<minilang>", "exec"),
+         namespace)
     return namespace["f"]
 
 
 def run_function(program: ProgramAst, name: str, fuzz_input,
                  step_limit: int = DEFAULT_STEP_LIMIT) -> ExecOutcome:
-    """Run one function on a FuzzInput-like (a, b, c) triple."""
+    """Run one function on a FuzzInput-like (a, b, c) triple.
+
+    A run that exhausts its first _PROBE steps is run again from the start
+    with loop cycle detection, which ends a stalled loop at its first
+    repeated loop-head state instead of after all step_limit steps."""
     compiled = program._compiled
     if compiled is None:
         compiled = program._compiled = {
             n: _compile_function(f) for n, f in program.functions.items()}
     try:
-        v = compiled[name](list(fuzz_input.a), list(fuzz_input.b),
-                           list(fuzz_input.c), step_limit)
+        try:
+            v = compiled[name](list(fuzz_input.a), list(fuzz_input.b),
+                               list(fuzz_input.c),
+                               step_limit if step_limit < _PROBE else _PROBE)
+        except _StepsExhausted:
+            if step_limit <= _PROBE:
+                raise
+            # The cycle-checking variant is cached under (name, True).
+            checked = compiled.get((name, True))
+            if checked is None:
+                checked = compiled[name, True] = _compile_function(
+                    program.functions[name], cycle_check=True)
+            v = checked(list(fuzz_input.a), list(fuzz_input.b),
+                        list(fuzz_input.c), step_limit)
     except _ThrowSignal:
         return FAIL_THROW
     except (_BoundsSignal, IndexError):
@@ -325,6 +412,8 @@ def run_function(program: ProgramAst, name: str, fuzz_input,
     except _DivZeroSignal:
         return FAIL_DIV_ZERO
     except _StepsExhausted:
+        # Also a repeated loop-head state: execution is deterministic, so
+        # the run would repeat the same iterations until out of steps.
         return StepLimitExceeded(step_limit)
     if v == 0:
         return SUCCESS_ZERO

@@ -365,7 +365,8 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
         except _MalformedRun as exc:
             return finish(Malformed(exc.reason, trace))
         trace.add(CycleCompleted(cycle))
-    return finish(ExhaustedBudget(best or candidate, trace))
+    # max_cycles >= 1 (FgConfig), and the last cycle returns on every path.
+    raise AssertionError("fg_generate ran past its last cycle")
 
 
 def _verdict_fields(verdict: FuzzVerdict, seed: int) -> dict:

@@ -210,6 +210,18 @@ def test_vacuous_validity_detection():
     assert is_vacuous_validity(verdict)
 
 
+def test_non_terminating_precondition_has_bounded_cost():
+    # Every trial's precondition stalls; cycle detection ends each one long
+    # before DEFAULT_STEP_LIMIT, so the phase is cheap and still vacuous.
+    prog = program("while (true) { }\nreturn true;", foo_body=ALWAYS_FAILS)
+    start = time.perf_counter()
+    verdict = validity_fuzz(prog, FuzzBudget.trials_only(2000),
+                            default_config(seed=7))
+    assert time.perf_counter() - start < 20
+    assert is_vacuous_validity(verdict)
+    assert verdict.stats.precond_faults == verdict.trials
+
+
 def test_not_vacuous_below_min_trials():
     prog = program("return false;", foo_body=ALWAYS_FAILS)
     verdict = validity_fuzz(prog,

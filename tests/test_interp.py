@@ -19,7 +19,7 @@ from fuzzfeed.minilang import (
     MissingPrecondition, StepLimitExceeded, Success, eval_precondition,
     is_success, parse, run_foo, run_function, run_precondition,
 )
-from fuzzfeed.minilang.interp import _function_source
+from fuzzfeed.minilang.interp import _PROBE, _function_source
 
 
 def wrap(v: int) -> int:
@@ -185,9 +185,9 @@ def test_binary_search_total_on_unsorted_input():
 
 def test_infinite_loop_hits_step_limit():
     program = parse(foo_src("while (true) { int x = 0; }\nreturn 0;"))
-    out = run_foo(program, EMPTY_INPUT, step_limit=1000)
-    assert isinstance(out, StepLimitExceeded)
-    assert out.steps_used >= 1000
+    for limit in (1000, _PROBE, _PROBE + 1, DEFAULT_STEP_LIMIT):
+        assert run_foo(program, EMPTY_INPUT, step_limit=limit) == \
+            StepLimitExceeded(limit)
 
 
 def test_step_limit_monotonic():
@@ -289,13 +289,15 @@ def test_program_names_never_reach_the_generated_source():
         "while (_oob < 3) { _oob = _oob + 1; }\n"
         "return __import__ + _oob;"))
     assert run_foo(program, FuzzInput((1, 2), (), ())) == Success(20)
-    source = _function_source(program.foo)
-    names = {tok.string for tok in
-             tokenize.generate_tokens(io.StringIO(source).readline)
-             if tok.type == tokenize.NAME}
-    generated = {n for n in names if re.fullmatch(r"[vt]\d+", n)}
-    assert names - generated <= {
-        "def", "f", "s", "if", "else", "while", "return", "raise", "pass",
-        "not", "and", "or", "True", "False", "len", "list", "AssertionError",
-        "_StepsExhausted", "_ThrowSignal", "_oob", "_div", "_mod", "_sort",
-        "_bsearch"}
+    for cycle_check in (False, True):
+        source = _function_source(program.foo, cycle_check)
+        names = {tok.string for tok in
+                 tokenize.generate_tokens(io.StringIO(source).readline)
+                 if tok.type == tokenize.NAME}
+        generated = {n for n in names
+                     if re.fullmatch(r"[vtnp]\d+|[ko]\d+_v\d+", n)}
+        assert names - generated <= {
+            "def", "f", "s", "if", "elif", "else", "while", "return", "raise",
+            "pass", "not", "and", "or", "is", "True", "False", "len", "list",
+            "AssertionError", "_StepsExhausted", "_CycleSignal",
+            "_ThrowSignal", "_oob", "_div", "_mod", "_sort", "_bsearch"}

@@ -4,7 +4,9 @@ loop-condition check, pinned exactly.
 tests/data/step_golden.json was recorded with the closure-tree interpreter
 (tools/build_step_golden.py). For each program, function and input it holds
 the smallest step limit at which the run does not end in StepLimitExceeded
-and the outcome it has there; one step less must run out of steps."""
+and the outcome it has there; one step less must run out of steps. The table
+is checked once as run_function runs it, and once with a probe of 0 steps,
+so that every run goes through the cycle-checking variant."""
 from __future__ import annotations
 
 import json
@@ -14,8 +16,10 @@ import pytest
 
 from fuzzfeed.fuzzing import FuzzInput
 from fuzzfeed.minilang import (
-    Failure, StepLimitExceeded, Success, parse, run_function, typecheck,
+    DEFAULT_STEP_LIMIT, Failure, StepLimitExceeded, Success, parse,
+    run_function, typecheck,
 )
+from fuzzfeed.minilang import interp
 
 TABLE = json.loads((Path(__file__).parent / "data" / "step_golden.json")
                    .read_text(encoding="utf-8"))
@@ -39,15 +43,39 @@ def test_table_covers_the_corpus_and_every_outcome():
             "fail:division-by-zero"} <= codes
 
 
-@pytest.mark.parametrize("row", TABLE, ids=[row["label"] for row in TABLE])
-def test_step_accounting_matches_recorded_table(row):
+def recorded_runs(row):
+    """(program, function name, input, steps, outcome code) of each run."""
     program = parse(row["source"])
     typecheck(program)
     inputs = [FuzzInput(tuple(a), tuple(b), tuple(c))
               for a, b, c in row["inputs"]]
     for name, runs in row["runs"].items():
         for inp, (steps, code) in zip(inputs, runs):
-            assert outcome_code(run_function(program, name, inp, steps)) == code, \
-                (name, inp, steps)
-            short = run_function(program, name, inp, steps - 1)
-            assert short == StepLimitExceeded(steps - 1), (name, inp, steps)
+            yield program, name, inp, steps, code
+
+
+def check_step_accounting(row):
+    for program, name, inp, steps, code in recorded_runs(row):
+        assert outcome_code(run_function(program, name, inp, steps)) == code, \
+            (name, inp, steps)
+        short = run_function(program, name, inp, steps - 1)
+        assert short == StepLimitExceeded(steps - 1), (name, inp, steps)
+
+
+@pytest.mark.parametrize("row", TABLE, ids=[row["label"] for row in TABLE])
+def test_step_accounting_matches_recorded_table(row):
+    check_step_accounting(row)
+
+
+@pytest.mark.parametrize("row", TABLE, ids=[row["label"] for row in TABLE])
+def test_cycle_checked_step_accounting_matches_recorded_table(row,
+                                                              monkeypatch):
+    monkeypatch.setattr(interp, "_PROBE", 0)
+    check_step_accounting(row)
+
+
+@pytest.mark.parametrize("row", TABLE, ids=[row["label"] for row in TABLE])
+def test_recorded_outcome_at_default_step_limit(row):
+    for program, name, inp, steps, code in recorded_runs(row):
+        outcome = run_function(program, name, inp, DEFAULT_STEP_LIMIT)
+        assert outcome_code(outcome) == code, (name, inp)
