@@ -23,8 +23,8 @@ from .evaluation import (
     run_benchmark,
 )
 from .fuzzing import (
-    Counterexample, FuzzBudget, default_config, paper_faithful_config,
-    validity_fuzz, weakness_fuzz,
+    Counterexample, FuzzBudget, default_config, derive_seed,
+    paper_faithful_config, validity_fuzz, weakness_fuzz,
 )
 from .llm import (
     DEFAULT_BASE_URL, DEFAULT_MODEL, ProviderError, candidate_from_program,
@@ -33,7 +33,7 @@ from .llm import (
 from .minilang import MiniLangError, parse, to_source, typecheck
 from .orchestrator import (
     Accepted, ExhaustedBudget, FgConfig, FuzzBlind, Malformed, fg_generate,
-    outcome_candidate, outcome_name, write_trace, zero_shot,
+    outcome_candidate, outcome_name, write_trace,
 )
 
 EXIT_OK = 0
@@ -205,8 +205,7 @@ def _attach_precondition(program_source: str, candidate_text: str,
 
 
 def _witness_json(witness) -> str:
-    return json.dumps({"a": list(witness.a), "b": list(witness.b),
-                       "c": list(witness.c)}, separators=(", ", ": "))
+    return json.dumps(witness.to_dict(), separators=(", ", ": "))
 
 
 def cmd_generate(args) -> int:
@@ -215,12 +214,7 @@ def cmd_generate(args) -> int:
     config = _fg_config(args, seed)
     provider = _provider(args)
     program_id = path.stem
-    if args.no_fg:
-        outcome = zero_shot(program_ast, provider, config,
-                            program_id=program_id)
-    else:
-        outcome = fg_generate(program_ast, provider, config,
-                              program_id=program_id)
+    outcome = fg_generate(program_ast, provider, config, program_id=program_id)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,9 +286,10 @@ def cmd_check(args) -> int:
 
     budget = _budget(args)
     exit_code = EXIT_OK
-    for phase_name, fuzz, phase_seed in (
-            ("validity", validity_fuzz, 1), ("weakness", weakness_fuzz, 2)):
-        config = _generator(args, seed).with_seed(seed + phase_seed)
+    for phase_name, fuzz in (("validity", validity_fuzz),
+                             ("weakness", weakness_fuzz)):
+        config = _generator(args, seed).with_seed(
+            derive_seed(seed, "check", phase_name))
         verdict = fuzz(combined, budget, config)
         if isinstance(verdict, Counterexample):
             print(f"{phase_name}: counterexample after {verdict.trials} "
@@ -321,7 +316,8 @@ def cmd_check(args) -> int:
             truth_source=to_source(truth_pre), description="")
         verdict = check_equivalence(
             candidate_from_program(combined), entry, budget=budget,
-            config=_generator(args, seed).with_seed(seed + 3))
+            config=_generator(args, seed).with_seed(
+                derive_seed(seed, "check", "equivalence")))
         if isinstance(verdict, LikelyEquivalent):
             print(f"equivalence: likely-equivalent ({verdict.trials} trials)")
         else:

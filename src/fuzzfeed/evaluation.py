@@ -10,6 +10,7 @@ and the mean as a percentage of the category size.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -22,13 +23,12 @@ from .corpus import (
     BenchmarkProgram, BenchmarkSet, Category, TINY_MAX_LEN, TINY_VALUES,
 )
 from .fuzzing import (
-    FuzzBudget, FuzzInput, GeneratorConfig, InputStream, derive_seed,
-    tiny_inputs,
+    FuzzBudget, FuzzInput, GeneratorConfig, derive_seed, tiny_inputs,
 )
 from .llm import CandidateWp
 from .minilang import ProgramAst, eval_precondition, parse
 from .orchestrator import (
-    FgConfig, fg_generate, outcome_candidate, outcome_name, zero_shot,
+    FgConfig, fg_generate, outcome_candidate, outcome_name,
 )
 
 CATEGORY_ORDER = (Category.EXISTENTIAL, Category.UNIVERSAL,
@@ -88,28 +88,15 @@ def check_equivalence(candidate: CandidateWp, truth: BenchmarkProgram,
     if candidate.source == truth_ast.source_text:
         return LikelyEquivalent(0)
 
+    # The fuzz budget's clock starts after the tiny sweep.
     trials = 0
-    for inputs in tiny_inputs(tiny_max_len, tiny_values):
+    for inputs in itertools.chain(tiny_inputs(tiny_max_len, tiny_values),
+                                  budget.inputs(config)):
         trials += 1
         bad = _predicates_agree(truth_ast, candidate_ast, inputs)
         if bad is not None:
             return bad
-
-    stream = InputStream(config)
-    deadline = (time.monotonic() + budget.wall_clock_s
-                if budget.wall_clock_s is not None else None)
-    fuzz_trials = 0
-    while True:
-        if budget.trial_limit is not None and fuzz_trials >= budget.trial_limit:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        inputs = stream.draw()
-        fuzz_trials += 1
-        bad = _predicates_agree(truth_ast, candidate_ast, inputs)
-        if bad is not None:
-            return bad
-    return LikelyEquivalent(trials + fuzz_trials)
+    return LikelyEquivalent(trials)
 
 
 # --- benchmark runs ---
@@ -227,13 +214,8 @@ def run_benchmark(benchmark_set: BenchmarkSet, provider,
         run_config = replace(config,
                              generator=config.generator.with_seed(seed))
         start = time.perf_counter()
-        program_ast = parse(program.program_source)
-        if config.fg_enabled:
-            outcome = fg_generate(program_ast, provider, run_config,
-                                  program_id=program.id)
-        else:
-            outcome = zero_shot(program_ast, provider, run_config,
-                                program_id=program.id)
+        outcome = fg_generate(parse(program.program_source), provider,
+                              run_config, program_id=program.id)
         candidate = outcome_candidate(outcome)
         correct = False
         if candidate is not None:

@@ -32,8 +32,6 @@ DEFAULT_DICTIONARY = (0, 1, -1, 2, -2, INT_MIN, INT_MAX, 100)
 # flagged vacuous (the candidate may be unfalsifiable by this generator).
 VACUOUS_MIN_TRIALS = 1_000
 
-_MEMO_CAP = 200_000
-
 
 @dataclass(frozen=True)
 class FuzzInput:
@@ -43,14 +41,20 @@ class FuzzInput:
     b: tuple[int, ...]
     c: tuple[int, ...]
 
+    def to_dict(self) -> dict:
+        """The {"a", "b", "c"} shape every witness takes in JSON."""
+        return {"a": list(self.a), "b": list(self.b), "c": list(self.c)}
+
+    @staticmethod
+    def from_dict(d: dict) -> "FuzzInput":
+        return FuzzInput(tuple(d["a"]), tuple(d["b"]), tuple(d["c"]))
+
     def to_json(self) -> str:
-        return json.dumps({"a": list(self.a), "b": list(self.b), "c": list(self.c)},
-                          separators=(",", ":"))
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "FuzzInput":
-        d = json.loads(text)
-        return FuzzInput(tuple(d["a"]), tuple(d["b"]), tuple(d["c"]))
+        return FuzzInput.from_dict(json.loads(text))
 
     def total_len(self) -> int:
         return len(self.a) + len(self.b) + len(self.c)
@@ -141,9 +145,6 @@ def _draw_values(rng: random.Random, n: int, mode: str,
     return out
 
 
-_MIXED_MODES = ("full", "small", "dictionary")
-
-
 def _pick_mode(rng: random.Random, config: GeneratorConfig) -> str:
     if config.value_mode != "mixed":
         return config.value_mode
@@ -196,6 +197,20 @@ class FuzzBudget:
     def trials_only(n: int) -> "FuzzBudget":
         return FuzzBudget(wall_clock_s=None, trial_limit=n)
 
+    def inputs(self, config: GeneratorConfig) -> Iterator[FuzzInput]:
+        """Draws from ``InputStream(config)`` until the trial limit or the
+        wall clock runs out; the clock starts at the first draw."""
+        draw = InputStream(config).draw
+        limit = self.trial_limit
+        deadline = (None if self.wall_clock_s is None
+                    else time.monotonic() + self.wall_clock_s)
+        trials = 0
+        while limit is None or trials < limit:
+            if deadline is not None and time.monotonic() >= deadline:
+                return
+            trials += 1
+            yield draw()
+
 
 class Phase(str, Enum):
     VALIDITY = "validity"
@@ -234,20 +249,28 @@ def is_vacuous_validity(verdict: FuzzVerdict) -> bool:
             and verdict.stats.satisfied == 0)
 
 
+def _fails(outcome) -> bool:
+    return type(outcome) is Failure
+
+
+def _returns_zero(outcome) -> bool:
+    return type(outcome) is Success and outcome.value == 0
+
+
+# Each phase's counterexample rule: the precondition value on which the phase
+# runs foo, and the outcome of foo that refutes the candidate there.
+_COUNTEREXAMPLE_RULES = {Phase.VALIDITY: (True, _fails),
+                         Phase.WEAKNESS: (False, _returns_zero)}
+
+
 def _phase_predicate(program: ProgramAst, phase: Phase,
                      step_limit: int) -> Callable[[FuzzInput], bool]:
     """Exact counterexample predicate used for shrinking and replay."""
+    runs_foo_on, refutes = _COUNTEREXAMPLE_RULES[phase]
 
     def holds(inp: FuzzInput) -> bool:
-        pre = run_precondition(program, inp, step_limit).value
-        if phase is Phase.VALIDITY:
-            if not pre:
-                return False
-            return type(run_foo(program, inp, step_limit)) is Failure
-        if pre:
-            return False
-        out = run_foo(program, inp, step_limit)
-        return type(out) is Success and out.value == 0
+        return (run_precondition(program, inp, step_limit).value is runs_foo_on
+                and refutes(run_foo(program, inp, step_limit)))
     return holds
 
 
@@ -302,63 +325,28 @@ def shrink(program: ProgramAst, witness: FuzzInput, phase: Phase,
 
 def _fuzz_phase(program: ProgramAst, budget: FuzzBudget, config: GeneratorConfig,
                 phase: Phase, do_shrink: bool, step_limit: int) -> FuzzVerdict:
-    stream = InputStream(config)
-    draw = stream.draw
-    trial_limit = budget.trial_limit
-    wall = budget.wall_clock_s
+    runs_foo_on, refutes = _COUNTEREXAMPLE_RULES[phase]
     start = time.monotonic()
-    deadline = None if wall is None else start + wall
-
-    validity = phase is Phase.VALIDITY
     trials = 0
     satisfied = 0
     faults = 0
     step_limited = 0
-    # Per-phase outcome memo; sound because execution is deterministic.
-    memo: dict[FuzzInput, tuple[bool, bool, object]] = {}
-
     witness = None
-    while True:
-        if trial_limit is not None and trials >= trial_limit:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        inp = draw()
+    for inp in budget.inputs(config):
         trials += 1
-
-        cached = memo.get(inp)
-        if cached is None:
-            pre = run_precondition(program, inp, step_limit)
-            pre_val, pre_fault = pre.value, pre.diagnostic is not None
-            foo_out = None
-        else:
-            pre_val, pre_fault, foo_out = cached
-
-        if pre_val:
+        pre = run_precondition(program, inp, step_limit)
+        if pre.value:
             satisfied += 1
-        if pre_fault:
+        if pre.diagnostic is not None:
             faults += 1
-
-        need_foo = pre_val if validity else not pre_val
-        if need_foo and foo_out is None:
-            foo_out = run_foo(program, inp, step_limit)
-        if len(memo) < _MEMO_CAP:
-            memo[inp] = (pre_val, pre_fault, foo_out)
-
-        if not need_foo:
+        if pre.value is not runs_foo_on:
             continue
-        t = type(foo_out)
-        if t is StepLimitExceeded:
+        outcome = run_foo(program, inp, step_limit)
+        if type(outcome) is StepLimitExceeded:
             step_limited += 1
-            continue
-        if validity:
-            if t is Failure:
-                witness = inp
-                break
-        else:
-            if t is Success and foo_out.value == 0:
-                witness = inp
-                break
+        elif refutes(outcome):
+            witness = inp
+            break
 
     stats = PhaseStats(trials=trials, satisfied=satisfied, precond_faults=faults,
                        step_limited=step_limited,

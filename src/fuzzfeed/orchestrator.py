@@ -397,7 +397,7 @@ def _event_payload(event: TraceEvent) -> dict:
     payload = {}
     for name, value in vars(event).items():
         if isinstance(value, FuzzInput):
-            value = {"a": list(value.a), "b": list(value.b), "c": list(value.c)}
+            value = value.to_dict()
         elif isinstance(value, PromptKind):
             value = value.value
         payload[name] = value
@@ -407,9 +407,8 @@ def _event_payload(event: TraceEvent) -> dict:
 def _event_from_payload(kind: str, payload: dict) -> TraceEvent:
     cls = _KIND_EVENTS[kind]
     kwargs = dict(payload)
-    if "witness" in kwargs and kwargs["witness"] is not None:
-        w = kwargs["witness"]
-        kwargs["witness"] = FuzzInput(tuple(w["a"]), tuple(w["b"]), tuple(w["c"]))
+    if kwargs.get("witness") is not None:
+        kwargs["witness"] = FuzzInput.from_dict(kwargs["witness"])
     if "kind" in kwargs:
         kwargs["kind"] = PromptKind(kwargs["kind"])
     return cls(**kwargs)

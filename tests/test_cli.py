@@ -263,6 +263,38 @@ def test_check_too_strong_candidate_exit_one(tmp_path, program_file,
     assert "equivalence: not-equivalent, truth accepts" in out
 
 
+def test_check_phase_seeds_are_named_streams(tmp_path, program_file,
+                                            truth_file, monkeypatch):
+    # Each phase draws from its own named derive_seed stream, so no phase of
+    # one --seed shares its stream with a phase of a neighbouring --seed.
+    import fuzzfeed.cli as cli
+    from fuzzfeed.fuzzing import derive_seed
+
+    seen = {}
+
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            config = kwargs["config"] if "config" in kwargs else args[2]
+            seen.setdefault(name, []).append(config.seed)
+            return fn(*args, **kwargs)
+        return record
+
+    phases = {"validity_fuzz": "validity", "weakness_fuzz": "weakness",
+              "check_equivalence": "equivalence"}
+    for name in phases:
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    candidate = tmp_path / "candidate.mini"
+    candidate.write_text(WEAKEST_WP)
+    for seed in (5, 6):
+        main(["check", str(program_file), str(candidate),
+              "--truth", str(truth_file), "--seed", str(seed),
+              "--fuzz-seconds", "0", "--fuzz-trials", "50"])
+    assert seen == {name: [derive_seed(5, "check", phase),
+                           derive_seed(6, "check", phase)]
+                    for name, phase in phases.items()}
+    assert len({s for seeds in seen.values() for s in seeds}) == 6
+
+
 def test_check_full_program_candidate_accepted(tmp_path, program_file,
                                                sorting_copy, capsys):
     # The candidate file may also be a whole program with a precondition.

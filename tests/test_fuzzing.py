@@ -15,7 +15,11 @@ from fuzzfeed.fuzzing import (
     paper_faithful_config, replay_witness, shrink, tiny_domain_config,
     tiny_inputs, validity_fuzz, weakness_fuzz,
 )
-from fuzzfeed.minilang import INT_MAX, INT_MIN, parse
+from fuzzfeed.corpus import candidate_source_with, drop_first_conjunct
+from fuzzfeed.minilang import (
+    INT_MAX, INT_MIN, Failure, StepLimitExceeded, Success, parse, run_foo,
+    run_precondition,
+)
 
 from conftest import LENGTH_ONLY_WP, STRONG_WP, with_precondition
 
@@ -284,6 +288,52 @@ def test_phase_is_deterministic_per_seed(sorting_copy):
     first = validity_fuzz(prog, budget, config)
     second = validity_fuzz(prog, budget, config)
     assert first == second
+
+
+def _replayed_phase(prog, phase: Phase, trial_limit: int,
+                    config: GeneratorConfig):
+    """What a phase must report: its input stream run through plain
+    run_precondition/run_foo calls, with both counterexample rules written
+    out here. Returns (trials, satisfied, faults, step_limited, witness)."""
+    stream = InputStream(config)
+    satisfied = faults = step_limited = 0
+    for trials in range(1, trial_limit + 1):
+        inp = stream.draw()
+        pre = run_precondition(prog, inp)
+        satisfied += pre.value
+        faults += pre.diagnostic is not None
+        if pre.value != (phase is Phase.VALIDITY):
+            continue
+        out = run_foo(prog, inp)
+        if isinstance(out, StepLimitExceeded):
+            step_limited += 1
+        elif (isinstance(out, Failure) if phase is Phase.VALIDITY
+              else out == Success(0)):
+            return trials, satisfied, faults, step_limited, inp
+    return trial_limit, satisfied, faults, step_limited, None
+
+
+@pytest.mark.parametrize("phase", list(Phase))
+def test_phase_loop_matches_plain_replay(builtin_set, phase):
+    # Every corpus truth and its weakening, on the default stream and on a
+    # stream where every draw is the same (empty) input.
+    fuzz = validity_fuzz if phase is Phase.VALIDITY else weakness_fuzz
+    trial_limit = 300
+    for seed, entry in enumerate(builtin_set):
+        weaker = drop_first_conjunct(entry.truth_function())
+        for prog in (entry.with_truth(),
+                     parse(candidate_source_with(entry, weaker))):
+            for config in (default_config(seed=seed),
+                           GeneratorConfig(max_len=0, seed=seed)):
+                verdict = fuzz(prog, FuzzBudget.trials_only(trial_limit),
+                               config, do_shrink=False)
+                witness = (verdict.witness
+                           if isinstance(verdict, Counterexample) else None)
+                got = (verdict.trials, verdict.stats.satisfied,
+                       verdict.stats.precond_faults,
+                       verdict.stats.step_limited, witness)
+                assert got == _replayed_phase(prog, phase, trial_limit,
+                                              config), (entry.id, config)
 
 
 # --- exhaustive oracle ---
