@@ -58,11 +58,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="generator seed (default: random, printed)")
     parser.add_argument("--fuzz-seconds", type=float, default=10.0,
-                        help="wall-clock budget per fuzz phase; 0 disables "
-                             "the wall clock (default: 10)")
+                        help="wall-clock budget per fuzz pass, which gives "
+                             "both the validity and the weakness verdict; 0 "
+                             "disables the wall clock (default: 10)")
     parser.add_argument("--fuzz-trials", type=int, default=100_000,
-                        help="trial budget per fuzz phase; 0 disables the "
-                             "trial cap (default: 100000)")
+                        help="trial budget per fuzz pass, which gives both "
+                             "the validity and the weakness verdict; 0 "
+                             "disables the trial cap (default: 100000)")
     parser.add_argument("--paper-faithful", action="store_true",
                         help="disable the structured-input generator bias")
     parser.add_argument("--out", default=".",
@@ -285,12 +287,13 @@ def cmd_check(args) -> int:
         candidate_path.name)
 
     budget = _budget(args)
+    config = _generator(args, seed).with_seed(
+        derive_seed(seed, "check", "validity"))
+    validity = validity_fuzz(combined, budget, config)
+    weakness = weakness_fuzz(combined, budget, config, validity=validity)
     exit_code = EXIT_OK
-    for phase_name, fuzz in (("validity", validity_fuzz),
-                             ("weakness", weakness_fuzz)):
-        config = _generator(args, seed).with_seed(
-            derive_seed(seed, "check", phase_name))
-        verdict = fuzz(combined, budget, config)
+    for phase_name, verdict in (("validity", validity),
+                                ("weakness", weakness)):
         if isinstance(verdict, Counterexample):
             print(f"{phase_name}: counterexample after {verdict.trials} "
                   f"trials: {_witness_json(verdict.witness)}")

@@ -97,9 +97,6 @@ class BenchmarkSet:
                 return program
         raise KeyError(program_id)
 
-    def by_category(self, category: Category) -> tuple[BenchmarkProgram, ...]:
-        return tuple(p for p in self.programs if p.category is category)
-
 
 def builtin_corpus_dir() -> Path:
     """Locate the shipped corpus/builtin directory next to the package."""
@@ -326,11 +323,14 @@ def validate_corpus(benchmark_set: BenchmarkSet,
     findings: list[CorpusFinding] = []
     for program in benchmark_set:
         attached = program.with_truth()
-        for phase, fuzz in ((Phase.VALIDITY, validity_fuzz),
-                            (Phase.WEAKNESS, weakness_fuzz)):
-            seed = derive_seed(config.seed, program.id, phase.value)
-            verdict = fuzz(attached, budget, config.with_seed(seed),
-                           step_limit=step_limit)
+        phase_config = config.with_seed(
+            derive_seed(config.seed, program.id, Phase.VALIDITY.value))
+        validity = validity_fuzz(attached, budget, phase_config,
+                                 step_limit=step_limit)
+        weakness = weakness_fuzz(attached, budget, phase_config,
+                                 step_limit=step_limit, validity=validity)
+        for phase, verdict in ((Phase.VALIDITY, validity),
+                               (Phase.WEAKNESS, weakness)):
             if isinstance(verdict, Counterexample):
                 findings.append(CorpusFinding(
                     program.id, phase.value,

@@ -303,39 +303,3 @@ def emit_report(report: BenchmarkReport, out_dir: str | Path) -> dict:
                            encoding="utf-8")
     return {"report_csv": report_csv, "detail_csv": detail_csv,
             "report_json": report_json}
-
-
-def load_report_json(path: str | Path) -> BenchmarkReport:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = tuple(ProgramRow(
-        iteration=r["iteration"], program_id=r["program"],
-        category=Category(r["category"]), outcome=r["outcome"],
-        fg_used=bool(r["fg_used"]), correct=bool(r["correct"]),
-        cycles=r["cycles"], llm_calls=r["llm_calls"],
-        wall_time_s=r.get("wall_time_s", 0.0)) for r in payload["rows"])
-    return BenchmarkReport(configuration=payload["configuration"],
-                           set_name=payload["set_name"], k=payload["k"],
-                           rows=rows)
-
-
-def load_report_csv(detail_path: str | Path, configuration: str = "default",
-                    set_name: str = "", k: int | None = None,
-                    ) -> BenchmarkReport:
-    """Rebuild a report from detail.csv; wall times are not recorded there."""
-    rows = []
-    with open(detail_path, newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(ProgramRow(
-                iteration=int(record["iteration"]),
-                program_id=record["program"],
-                category=Category(record["category"]),
-                outcome=record["outcome"],
-                fg_used=bool(int(record["fg_used"])),
-                correct=bool(int(record["correct"])),
-                cycles=int(record["cycles"]),
-                llm_calls=int(record["llm_calls"])))
-    iterations = sorted({r.iteration for r in rows})
-    return BenchmarkReport(configuration=configuration, set_name=set_name,
-                           k=k if k is not None else
-                           (max(iterations) if iterations else 0),
-                           rows=tuple(rows))

@@ -6,6 +6,12 @@ on; a weakness counterexample is an input the candidate rejects but 'foo'
 succeeds on (returns 0). Runs that exceed the step limit are neither and are
 counted separately. All drawing is a deterministic function of the seed, so
 a phase with a trial-only budget is exactly reproducible.
+
+Both phases sample the same input distribution, so one pass answers both:
+validity fuzzing also runs 'foo' on the inputs the candidate rejects, until
+the first one it succeeds on. A validity pass that finds no counterexample
+carries the weakness verdict of its own draws, and ``weakness_fuzz`` returns
+that verdict instead of drawing a second sample.
 """
 from __future__ import annotations
 
@@ -51,10 +57,6 @@ class FuzzInput:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "FuzzInput":
-        return FuzzInput.from_dict(json.loads(text))
 
     def total_len(self) -> int:
         return len(self.a) + len(self.b) + len(self.c)
@@ -230,6 +232,9 @@ class PhaseStats:
 class LikelyPass:
     trials: int
     stats: PhaseStats
+    # Set on a validity pass: the unshrunk weakness verdict of the same draws.
+    weakness: Optional["FuzzVerdict"] = field(default=None, compare=False,
+                                              repr=False)
 
 
 @dataclass(frozen=True)
@@ -323,15 +328,27 @@ def shrink(program: ProgramAst, witness: FuzzInput, phase: Phase,
     return current
 
 
-def _fuzz_phase(program: ProgramAst, budget: FuzzBudget, config: GeneratorConfig,
-                phase: Phase, do_shrink: bool, step_limit: int) -> FuzzVerdict:
-    runs_foo_on, refutes = _COUNTEREXAMPLE_RULES[phase]
+def _fuzz(program: ProgramAst, budget: FuzzBudget, config: GeneratorConfig,
+          phases: tuple[Phase, ...], step_limit: int) -> list[FuzzVerdict]:
+    """One pass over config's stream that answers each phase, unshrunk.
+
+    Every draw's precondition is evaluated once. The phases run foo on
+    opposite precondition values, so foo runs at most once per draw, and
+    only for a phase that has no counterexample yet. The pass ends at the
+    first counterexample of ``phases[0]``. Unless it ended there, each
+    verdict is exactly what a pass for its phase alone reports on a
+    trial-only budget.
+    """
     start = time.monotonic()
+    open_rules = {}
+    for phase in phases:
+        runs_foo_on, refutes = _COUNTEREXAMPLE_RULES[phase]
+        open_rules[runs_foo_on] = (phase, refutes)
+    step_limited = dict.fromkeys(phases, 0)
+    found = {}
     trials = 0
     satisfied = 0
     faults = 0
-    step_limited = 0
-    witness = None
     for inp in budget.inputs(config):
         trials += 1
         pre = run_precondition(program, inp, step_limit)
@@ -339,37 +356,64 @@ def _fuzz_phase(program: ProgramAst, budget: FuzzBudget, config: GeneratorConfig
             satisfied += 1
         if pre.diagnostic is not None:
             faults += 1
-        if pre.value is not runs_foo_on:
+        rule = open_rules.get(pre.value)
+        if rule is None:
             continue
+        phase, refutes = rule
         outcome = run_foo(program, inp, step_limit)
         if type(outcome) is StepLimitExceeded:
-            step_limited += 1
+            step_limited[phase] += 1
         elif refutes(outcome):
-            witness = inp
-            break
+            found[phase] = Counterexample(inp, trials, PhaseStats(
+                trials, satisfied, faults, step_limited[phase],
+                time.monotonic() - start))
+            if phase is phases[0]:
+                break
+            del open_rules[pre.value]
 
-    stats = PhaseStats(trials=trials, satisfied=satisfied, precond_faults=faults,
-                       step_limited=step_limited,
-                       duration_s=time.monotonic() - start)
-    if witness is None:
-        return LikelyPass(trials, stats)
-    if do_shrink:
-        witness = shrink(program, witness, phase, step_limit)
-    return Counterexample(witness, trials, stats)
+    duration = time.monotonic() - start
+    return [found.get(phase) or LikelyPass(trials, PhaseStats(
+                trials, satisfied, faults, step_limited[phase], duration))
+            for phase in phases]
+
+
+def _shrunk(program: ProgramAst, verdict: FuzzVerdict, phase: Phase,
+            do_shrink: bool, step_limit: int) -> FuzzVerdict:
+    if do_shrink and isinstance(verdict, Counterexample):
+        return replace(verdict, witness=shrink(program, verdict.witness,
+                                               phase, step_limit))
+    return verdict
 
 
 def validity_fuzz(program: ProgramAst, budget: FuzzBudget, config: GeneratorConfig,
                   do_shrink: bool = True,
                   step_limit: int = DEFAULT_STEP_LIMIT) -> FuzzVerdict:
-    """Search for an input the candidate admits but 'foo' fails on."""
-    return _fuzz_phase(program, budget, config, Phase.VALIDITY, do_shrink, step_limit)
+    """Search for an input the candidate admits but 'foo' fails on.
+
+    A LikelyPass carries, as ``weakness``, the unshrunk weakness verdict of
+    the same draws."""
+    verdict, weakness = _fuzz(program, budget, config,
+                              (Phase.VALIDITY, Phase.WEAKNESS), step_limit)
+    if isinstance(verdict, LikelyPass):
+        return replace(verdict, weakness=weakness)
+    return _shrunk(program, verdict, Phase.VALIDITY, do_shrink, step_limit)
 
 
 def weakness_fuzz(program: ProgramAst, budget: FuzzBudget, config: GeneratorConfig,
                   do_shrink: bool = True,
-                  step_limit: int = DEFAULT_STEP_LIMIT) -> FuzzVerdict:
-    """Search for an input the candidate rejects but 'foo' succeeds on."""
-    return _fuzz_phase(program, budget, config, Phase.WEAKNESS, do_shrink, step_limit)
+                  step_limit: int = DEFAULT_STEP_LIMIT,
+                  validity: Optional[FuzzVerdict] = None) -> FuzzVerdict:
+    """Search for an input the candidate rejects but 'foo' succeeds on.
+
+    ``validity`` is this program's ``validity_fuzz`` verdict on the same
+    budget, config and step limit. When it is a LikelyPass, its draws already answered
+    weakness: that answer is returned (shrunk when ``do_shrink`` is set)
+    and nothing is drawn. Otherwise config's stream is fuzzed."""
+    verdict = validity.weakness if isinstance(validity, LikelyPass) else None
+    if verdict is None:
+        verdict, = _fuzz(program, budget, config, (Phase.WEAKNESS,),
+                         step_limit)
+    return _shrunk(program, verdict, Phase.WEAKNESS, do_shrink, step_limit)
 
 
 # --- exhaustive oracle ---

@@ -3,14 +3,12 @@
 Transcript files are JSON Lines with fields
 {program_id, prompt_kind, prompt_hash, request, response}; a trace file that
 embeds exchange records in the same shape is itself a usable transcript.
-Providers are safe to share across worker threads.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,7 +176,6 @@ class ScriptedProvider:
     def __init__(self, responses: list[str]):
         self._responses = list(responses)
         self._next = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedProvider":
@@ -195,13 +192,12 @@ class ScriptedProvider:
 
     def complete(self, messages, program_id: str = "",
                  prompt_kind: str = "") -> ChatExchange:
-        with self._lock:
-            if self._next >= len(self._responses):
-                raise ProviderError(
-                    f"scripted responses exhausted after {self._next}",
-                    kind="exhausted")
-            text = self._responses[self._next]
-            self._next += 1
+        if self._next >= len(self._responses):
+            raise ProviderError(
+                f"scripted responses exhausted after {self._next}",
+                kind="exhausted")
+        text = self._responses[self._next]
+        self._next += 1
         return ChatExchange(
             request=ChatRequest(tuple(dict(m) for m in messages)),
             response_text=text, timestamp=time.time())
@@ -230,31 +226,29 @@ class ReplayProvider:
             self._queues.setdefault(e.get("program_id", ""), []).append((i, e))
         self.strict = strict
         self.divergences: list[Divergence] = []
-        self._lock = threading.Lock()
 
     def complete(self, messages, program_id: str = "",
                  prompt_kind: str = "") -> ChatExchange:
-        with self._lock:
-            queue = self._queues.get(program_id)
-            if not queue:
-                # Fall back to unattributed entries for bare transcripts.
-                queue = self._queues.get("")
-            if not queue:
+        queue = self._queues.get(program_id)
+        if not queue:
+            # Fall back to unattributed entries for bare transcripts.
+            queue = self._queues.get("")
+        if not queue:
+            raise ProviderError(
+                f"transcript exhausted for program {program_id!r}",
+                kind="exhausted")
+        index, entry = queue.pop(0)
+        actual = prompt_hash(messages)
+        expected = entry.get("prompt_hash")
+        if expected and expected != actual:
+            div = Divergence(index, program_id, prompt_kind, expected, actual)
+            if self.strict:
                 raise ProviderError(
-                    f"transcript exhausted for program {program_id!r}",
-                    kind="exhausted")
-            index, entry = queue.pop(0)
-            actual = prompt_hash(messages)
-            expected = entry.get("prompt_hash")
-            if expected and expected != actual:
-                div = Divergence(index, program_id, prompt_kind, expected, actual)
-                if self.strict:
-                    raise ProviderError(
-                        f"replay divergence at exchange {index} "
-                        f"({prompt_kind or 'unknown kind'}): prompt hash "
-                        f"{actual[:12]} != recorded {expected[:12]}",
-                        kind="divergence")
-                self.divergences.append(div)
+                    f"replay divergence at exchange {index} "
+                    f"({prompt_kind or 'unknown kind'}): prompt hash "
+                    f"{actual[:12]} != recorded {expected[:12]}",
+                    kind="divergence")
+            self.divergences.append(div)
         return ChatExchange(
             request=ChatRequest(tuple(dict(m) for m in messages)),
             response_text=entry["response"], timestamp=time.time())
@@ -266,14 +260,13 @@ class RecordingProvider:
     def __init__(self, inner, path: str | Path):
         self.inner = inner
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def complete(self, messages, program_id: str = "",
                  prompt_kind: str = "") -> ChatExchange:
         exchange = self.inner.complete(messages, program_id=program_id,
                                        prompt_kind=prompt_kind)
         record = exchange_record(exchange, program_id, prompt_kind)
-        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         return exchange
 

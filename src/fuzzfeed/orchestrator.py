@@ -2,8 +2,8 @@
 
 One guidance cycle runs up to ``max_validity_iterations`` rounds of validity
 fuzzing (each counterexample triggers a validity-repair prompt), then a
-single weakness-fuzz step whose counterexample, if any, triggers a
-weakness-repair prompt and the next cycle. The run ends Accepted when a
+single weakness step, answered from the draws of the validity pass, whose
+counterexample, if any, triggers a weakness-repair prompt and the next cycle. The run ends Accepted when a
 candidate survives both phases, Malformed when the model output cannot be
 extracted (after one re-ask), ExhaustedBudget when iterations or cycles run
 out, or FuzzBlind in strict mode when validity fuzzing never saw an adhering
@@ -137,15 +137,6 @@ class FgTrace:
     def fg_used(self) -> bool:
         return any(isinstance(e, RepairTriggered) for e in self.events)
 
-    @property
-    def vacuous_validity_seen(self) -> bool:
-        return any(isinstance(e, ValidityVerdict) and e.vacuous
-                   for e in self.events)
-
-    def repair_count(self, kind: PromptKind | None = None) -> int:
-        return sum(1 for e in self.events
-                   if isinstance(e, RepairTriggered)
-                   and (kind is None or e.kind is kind))
 
 
 # --- outcomes ---
@@ -270,10 +261,6 @@ def _precondition_source(candidate: CandidateWp) -> str:
     return to_source(pre) if pre is not None else ""
 
 
-def _phase_seed(config: FgConfig, phase: str, cycle: int, iteration: int) -> int:
-    return derive_seed(config.generator.seed, phase, cycle, iteration)
-
-
 def zero_shot(program: ProgramAst, provider, config: FgConfig | None = None,
               program_id: str = "") -> WpOutcome:
     """One initial prompt, no fuzzing: accepted as-is if extractable."""
@@ -316,11 +303,11 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
 
     best: Optional[CandidateWp] = None
     for cycle in range(1, config.max_cycles + 1):
-        passed_validity = False
         for iteration in range(1, config.max_validity_iterations + 1):
-            seed = _phase_seed(config, "validity", cycle, iteration)
-            verdict = validity_fuzz(candidate.program, budget,
-                                    config.generator.with_seed(seed),
+            seed = derive_seed(config.generator.seed, "validity", cycle,
+                               iteration)
+            generator = config.generator.with_seed(seed)
+            verdict = validity_fuzz(candidate.program, budget, generator,
                                     do_shrink=config.shrink,
                                     step_limit=config.step_limit)
             vacuous = is_vacuous_validity(verdict)
@@ -329,7 +316,6 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
             if isinstance(verdict, LikelyPass):
                 if vacuous and config.strict_fuzz_blind:
                     return finish(FuzzBlind(candidate, trace))
-                passed_validity = True
                 best = candidate
                 break
             # Counterexample: repair unless this was the last permitted try.
@@ -343,14 +329,14 @@ def fg_generate(program: ProgramAst, provider, config: FgConfig | None = None,
                     candidate.source, verdict.witness)
             except _MalformedRun as exc:
                 return finish(Malformed(exc.reason, trace))
-        if not passed_validity:
+        if not isinstance(verdict, LikelyPass):
             return finish(ExhaustedBudget(best or candidate, trace))
 
-        seed = _phase_seed(config, "weakness", cycle, 0)
-        verdict = weakness_fuzz(candidate.program, budget,
-                                config.generator.with_seed(seed),
+        # The passing validity verdict already holds the weakness answer of
+        # its draws, so the weakness verdict reuses its seed and draws nothing.
+        verdict = weakness_fuzz(candidate.program, budget, generator,
                                 do_shrink=config.shrink,
-                                step_limit=config.step_limit)
+                                step_limit=config.step_limit, validity=verdict)
         trace.add(WeaknessVerdict(cycle, **_verdict_fields(verdict, seed)))
         if isinstance(verdict, LikelyPass):
             return finish(Accepted(candidate, trace))

@@ -265,23 +265,29 @@ def test_check_too_strong_candidate_exit_one(tmp_path, program_file,
 
 def test_check_phase_seeds_are_named_streams(tmp_path, program_file,
                                             truth_file, monkeypatch):
-    # Each phase draws from its own named derive_seed stream, so no phase of
-    # one --seed shares its stream with a phase of a neighbouring --seed.
+    # Validity and equivalence each draw from their own named derive_seed
+    # stream. Weakness is answered from the validity stream: it gets that
+    # config and the validity verdict. No stream of one --seed is a stream
+    # of a neighbouring --seed.
     import fuzzfeed.cli as cli
-    from fuzzfeed.fuzzing import derive_seed
+    from fuzzfeed.fuzzing import LikelyPass, derive_seed
 
     seen = {}
+    validity_verdicts = []
 
     def recording(name, fn):
         def record(*args, **kwargs):
             config = kwargs["config"] if "config" in kwargs else args[2]
             seen.setdefault(name, []).append(config.seed)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "validity_fuzz":
+                validity_verdicts.append(result)
+            if name == "weakness_fuzz":
+                assert kwargs["validity"] is validity_verdicts[-1]
+            return result
         return record
 
-    phases = {"validity_fuzz": "validity", "weakness_fuzz": "weakness",
-              "check_equivalence": "equivalence"}
-    for name in phases:
+    for name in ("validity_fuzz", "weakness_fuzz", "check_equivalence"):
         monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
     candidate = tmp_path / "candidate.mini"
     candidate.write_text(WEAKEST_WP)
@@ -289,10 +295,13 @@ def test_check_phase_seeds_are_named_streams(tmp_path, program_file,
         main(["check", str(program_file), str(candidate),
               "--truth", str(truth_file), "--seed", str(seed),
               "--fuzz-seconds", "0", "--fuzz-trials", "50"])
-    assert seen == {name: [derive_seed(5, "check", phase),
-                           derive_seed(6, "check", phase)]
-                    for name, phase in phases.items()}
-    assert len({s for seeds in seen.values() for s in seeds}) == 6
+    validity = [derive_seed(s, "check", "validity") for s in (5, 6)]
+    assert seen == {
+        "validity_fuzz": validity, "weakness_fuzz": validity,
+        "check_equivalence": [derive_seed(s, "check", "equivalence")
+                              for s in (5, 6)]}
+    assert all(isinstance(v, LikelyPass) for v in validity_verdicts)
+    assert len({s for seeds in seen.values() for s in seeds}) == 4
 
 
 def test_check_full_program_candidate_accepted(tmp_path, program_file,

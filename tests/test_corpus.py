@@ -25,7 +25,7 @@ SMALL_BUDGET = FuzzBudget.trials_only(3000)
 def test_builtin_corpus_size_and_balance(builtin_set):
     assert len(builtin_set) >= 16
     for category in Category:
-        assert len(builtin_set.by_category(category)) >= 4
+        assert sum(p.category is category for p in builtin_set) >= 4
 
 
 def test_builtin_ids_unique_and_stable(builtin_set):

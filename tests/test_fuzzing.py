@@ -2,6 +2,7 @@
 shrinking, vacuity detection, and the exhaustive small-domain oracle."""
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -102,8 +103,9 @@ def test_derive_seed_stable_and_sensitive():
 
 
 def test_fuzz_input_json_round_trip():
+    # The path a witness takes through a trace file and back.
     inp = FuzzInput((INT_MIN, 0), (INT_MAX,), ())
-    assert FuzzInput.from_json(inp.to_json()) == inp
+    assert FuzzInput.from_dict(json.loads(inp.to_json())) == inp
 
 
 # --- budgets ---
@@ -334,6 +336,34 @@ def test_phase_loop_matches_plain_replay(builtin_set, phase):
                        verdict.stats.step_limited, witness)
                 assert got == _replayed_phase(prog, phase, trial_limit,
                                               config), (entry.id, config)
+
+
+def test_validity_pass_answers_weakness_of_its_draws(builtin_set):
+    # Given the validity pass, weakness_fuzz draws nothing yet returns what
+    # a weakness pass over the same stream returns, shrunk or not. Every
+    # corpus truth and its weakening, plus a foo that stalls on admitted and
+    # rejected inputs, so each phase counts only its own step-limited runs.
+    stalls = program("return len(a) > 0;", foo_body=(
+        "if (len(b) == 1) { while (true) { int x = 0; } }\n"
+        "if (len(a) == 0 && len(c) != 7) { throw; }\nreturn 0;"))
+    cases = [(seed, prog) for seed, entry in enumerate(builtin_set)
+             for prog in (entry.with_truth(), parse(candidate_source_with(
+                 entry, drop_first_conjunct(entry.truth_function()))))]
+    cases += [(seed, stalls) for seed in range(5)]
+    budget = FuzzBudget.trials_only(300)
+    shared = 0
+    for seed, prog in cases:
+        for config in (default_config(seed=seed),
+                       GeneratorConfig(max_len=0, seed=seed)):
+            validity = validity_fuzz(prog, budget, config)
+            shared += isinstance(validity, LikelyPass)
+            for do_shrink in (False, True):
+                got = weakness_fuzz(prog, budget, config, do_shrink,
+                                    validity=validity)
+                want = weakness_fuzz(prog, budget, config, do_shrink)
+                assert type(got) is type(want), (prog.source_text, config)
+                assert got == want, (prog.source_text, config)
+    assert shared >= len(builtin_set)
 
 
 # --- exhaustive oracle ---

@@ -57,9 +57,10 @@ def test_guided_run_accepts_after_two_cycles(sorting_copy_ast,
     trace = outcome.trace
     assert trace.cycles_used == 2
     assert trace.llm_calls == 4
-    assert trace.repair_count() == 3
-    assert trace.repair_count(PromptKind.REPAIR_VALIDITY) == 2
-    assert trace.repair_count(PromptKind.REPAIR_WEAKNESS) == 1
+    repairs = [e.kind for e in trace.events if isinstance(e, RepairTriggered)]
+    assert repairs.count(PromptKind.REPAIR_VALIDITY) == 2
+    assert repairs.count(PromptKind.REPAIR_WEAKNESS) == 1
+    assert len(repairs) == 3
     assert trace.fg_used
     # The accepted candidate dropped the spurious c clause.
     assert "len(c)" not in outcome.candidate.source
@@ -84,6 +85,40 @@ def test_trace_event_order_of_guided_run(sorting_copy_ast,
         "TerminalOutcome",
     ]
     assert validate_trace(outcome.trace.events) == []
+
+
+def test_passing_candidate_draws_one_sample_per_cycle(sorting_copy_ast,
+                                                      sorting_copy,
+                                                      monkeypatch):
+    # The validity pass answers weakness from its own draws: a candidate that
+    # passes validity costs trial_limit draws per cycle, and its weakness
+    # verdict carries the seed of that validity pass.
+    import fuzzfeed.fuzzing as fuzzing
+
+    draws = []
+    draw_input = fuzzing.draw_input
+
+    def counting(rng, config):
+        draws.append(config.seed)
+        return draw_input(rng, config)
+
+    monkeypatch.setattr(fuzzing, "draw_input", counting)
+    trial_limit = 500
+    provider = ScriptedProvider(scripted_responses(
+        sorting_copy.program_source, STRONG_WP, WEAKEST_WP))
+    outcome = fg_generate(
+        sorting_copy_ast, provider,
+        fg_config(fuzz_budget=FuzzBudget.trials_only(trial_limit)),
+        program_id="sorting_copy")
+    assert isinstance(outcome, Accepted)
+    events = outcome.trace.events
+    validity = [e for e in events if isinstance(e, ValidityVerdict)]
+    weakness = [e for e in events if isinstance(e, WeaknessVerdict)]
+    assert [v.verdict for v in validity] == ["likely-pass", "likely-pass"]
+    assert [w.verdict for w in weakness] == ["counterexample", "likely-pass"]
+    assert [w.seed for w in weakness] == [v.seed for v in validity]
+    assert draws == [v.seed for v in validity for _ in range(trial_limit)]
+    assert validate_trace(events) == []
 
 
 def test_repair_witnesses_match_phase(sorting_copy_ast, worked_example_provider):
@@ -224,7 +259,6 @@ def test_vacuous_validity_is_diagnostic_by_default(value_swap):
     outcome = fg_generate(parse(value_swap.program_source), provider, config,
                           program_id=value_swap.id)
     assert isinstance(outcome, Accepted)
-    assert outcome.trace.vacuous_validity_seen
     verdicts = [e for e in outcome.trace.events
                 if isinstance(e, ValidityVerdict)]
     assert verdicts[0].vacuous

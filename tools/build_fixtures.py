@@ -11,7 +11,6 @@ or corpus change:
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -119,14 +118,12 @@ class PerProgramScript:
     def __init__(self, scripts: dict[str, list[str]]):
         self._scripts = {k: list(v) for k, v in scripts.items()}
         self._cursor = {k: 0 for k in scripts}
-        self._lock = threading.Lock()
 
     def complete(self, messages, program_id: str = "",
                  prompt_kind: str = "") -> ChatExchange:
-        with self._lock:
-            script = self._scripts[program_id]
-            i = self._cursor[program_id]
-            self._cursor[program_id] = (i + 1) % len(script)
+        script = self._scripts[program_id]
+        i = self._cursor[program_id]
+        self._cursor[program_id] = (i + 1) % len(script)
         return ChatExchange(
             request=ChatRequest(tuple(dict(m) for m in messages)),
             response_text=script[i], timestamp=0.0)
